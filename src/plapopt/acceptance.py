@@ -281,8 +281,10 @@ def criterion_7_derivative_agreement():
 
 def criterion_8_symmetry_null():
     """All four I'(0) estimates vanish to 1e-4 (1 + |J|) for a constant
-    (rotation) field on the disk; run at p in {2, 3} on the 512-cell mesh
-    (see the decisions ledger for the p < 2 exclusion)."""
+    (rotation) field on the disk; run at p in {2, 3} on the 512-cell mesh.
+    p < 2 is excluded because the estimates do not vanish to this
+    tolerance there: at p = 1.5 the largest (the jump formula, ~1e-3) is
+    about 5 times it on this mesh."""
     t0 = time.time()
     mesh = build_disk_mesh(1.0, 512, 80)
     L = mesh.total_boundary_length
@@ -292,8 +294,7 @@ def criterion_8_symmetry_null():
     rows = []
     for p in (2.0, 3.0):
         rep = derivative_report(mesh, f, fld, SolveConfig(p=p), t=1e-3)
-        _, srep = solve(mesh, f, SolveConfig(p=p))
-        tol = 1e-4 * (1.0 + abs(srep.J))
+        tol = 1e-4 * (1.0 + abs(rep.J))
         worst = max(abs(v) for v in rep.values.values())
         ok = ok and worst <= tol
         rows.append((p, worst, tol))

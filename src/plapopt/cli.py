@@ -32,7 +32,7 @@ from .fileio import (
 from .geometry import build_disk_mesh, build_square_mesh, validate_mesh
 from .optimizer import OptimizeConfig, maximize_over_rearrangements
 from .perturbation import derivative_report, tangent_field
-from .solver import SolveConfig, SolverError, solve
+from .solver import P_MAX, P_MIN, SolveConfig, SolverError, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,8 +90,8 @@ def _validate_p(p):
         p = float(p)
     except (TypeError, ValueError):
         raise ConfigError(f"p must be a number, got {p!r}")
-    if not 1.1 <= p <= 10.0:
-        raise ConfigError(f"p must lie in [1.1, 10], got {p}")
+    if not P_MIN <= p <= P_MAX:
+        raise ConfigError(f"p must lie in [{P_MIN}, {P_MAX}], got {p}")
     return p
 
 

@@ -35,7 +35,7 @@ from scipy.interpolate import CubicSpline
 from .fem import EDGE_QW, P1Space
 from .geometry import ArclengthChart
 from .rearrangement import LoadField
-from .solver import SolveConfig, StateField, _continuation, solve
+from .solver import SolveConfig, SolverError, StateField, _continuation, solve
 
 __all__ = [
     "TangentField",
@@ -408,7 +408,7 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     extension with a numeric Jacobian and a warning.
     """
     p = u0.p if p is None else float(p)
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     chart = mesh.chart()
     u = u0.nodal_values
 
@@ -466,7 +466,7 @@ def deriv_surfdiv_formula(mesh, u0: StateField, f: LoadField, field: TangentFiel
     p = u0.p
     chart = mesh.chart()
     spline = _trace_spline(mesh, u0)
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     sg = space.boundary_gauss_points(chart)
     integrand = spline(sg, 1) * field.speed(sg) + spline(sg) * field.speed_prime(sg)
     total = float(
@@ -495,7 +495,7 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
     the exactly-transported loads."""
     if t <= 0:
         raise ValueError("finite-difference step t must be positive")
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     chart = mesh.chart()
     Js = []
     for tau in (t, -t):
@@ -503,8 +503,6 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
         b = space.load_vector_from_function(ft, chart)
         u, _, _, _, _, rnorm = _continuation(space, b, config, u_init)
         if rnorm > config.newton_tol:
-            from .solver import SolverError
-
             raise SolverError(
                 f"transported solve at t={tau:g} stalled at residual {rnorm:.3e}"
             )
@@ -526,7 +524,7 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
                                monotone_slack=1.1):
     """Solve along a decreasing sequence of flow times and record the
     decay of the solution and load distances to the base pair."""
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     chart = mesh.chart()
     p = config.p
     q = p / (p - 1.0)
@@ -542,8 +540,6 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
         b = space.load_vector_from_function(ft, chart)
         u, _, _, _, _, rnorm = _continuation(space, b, config, u0.nodal_values)
         if rnorm > config.newton_tol:
-            from .solver import SolverError
-
             raise SolverError(f"transported solve at t={t:g} failed")
         diff = u - u0.nodal_values
         gterm, mterm = space.integrate_lp(diff, p)
@@ -570,7 +566,8 @@ class DerivativeReport:
     """The four I'(0) estimates with their pairwise relative discrepancies.
 
     Discrepancies are |d_i - d_j| / scale with scale = max |d_k| over the
-    four estimates (zero if all estimates vanish)."""
+    four estimates (zero if all estimates vanish). ``J`` is the functional
+    J(f) of the base solve."""
 
     d_volume: float
     d_surfdiv: float
@@ -582,6 +579,7 @@ class DerivativeReport:
     field_name: str
     n_boundary_cells: int
     n_vertices: int
+    J: float
 
     @property
     def values(self):
@@ -632,4 +630,5 @@ def derivative_report(mesh, f: LoadField, field: TangentField,
         field_name=field.name,
         n_boundary_cells=mesh.n_boundary_cells,
         n_vertices=mesh.n_vertices,
+        J=rep.J,
     )

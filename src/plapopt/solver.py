@@ -95,7 +95,7 @@ class StateField:
 
     @classmethod
     def from_nodal(cls, mesh, u, p, epsilon):
-        space = P1Space(mesh)
+        space = P1Space.of(mesh)
         return cls(np.asarray(u, dtype=float), space.trace_average(u), p, epsilon)
 
 
@@ -130,14 +130,14 @@ def _check_sizes(mesh, u=None, f=None):
 def energy(mesh, u, f: LoadField, p, eps):
     """E_eps(u) as defined in the module docstring."""
     _check_sizes(mesh, u, f)
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     return space.energy(_nodal(u), space.load_vector(f.cell_values), p, eps)
 
 
 def residual(mesh, u, f: LoadField, p, eps):
     """Nodal gradient of E_eps; zero at the discrete solution."""
     _check_sizes(mesh, u, f)
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     return space.residual(_nodal(u), space.load_vector(f.cell_values), p, eps)
 
 
@@ -155,7 +155,7 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
             return u, it, fallbacks, rnorm
         H = space.hessian(u, p, eps)
         with np.errstate(all="ignore"):
-            d = spsolve(H, -r)
+            d = spsolve(H, -r, permc_spec="MMD_AT_PLUS_A")
         slope = float(r @ d)
         if not np.all(np.isfinite(d)) or slope >= 0.0:
             d = -r  # singular or non-descent direction: steepest descent
@@ -208,7 +208,7 @@ def solve(mesh, f: LoadField, config: SolveConfig, u_init=None):
     state is still returned.
     """
     _check_sizes(mesh, f=f)
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     b = space.load_vector(f.cell_values)
     u, eps_list, iters, history, fallbacks, rnorm = _continuation(
         space, b, config, u_init
@@ -236,7 +236,7 @@ def functional_J(mesh, f: LoadField, u):
     trace = (
         u.boundary_trace
         if isinstance(u, StateField)
-        else P1Space(mesh).trace_average(_nodal(u))
+        else P1Space.of(mesh).trace_average(_nodal(u))
     )
     return float(np.sum(f.cell_values * trace * f.weights))
 
@@ -248,7 +248,7 @@ def functional_I(mesh, u, f: LoadField, p):
     eps used to compute u.
     """
     _check_sizes(mesh, u, f)
-    space = P1Space(mesh)
+    space = P1Space.of(mesh)
     grad_term, mass_term = space.integrate_lp(_nodal(u), p)
     J = functional_J(mesh, f, u)
     return (p * J - grad_term - mass_term) / (p - 1.0)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import iv
 
+from plapopt import fem
+from plapopt.fem import TRI_QP, P1Space
 from plapopt.geometry import build_disk_mesh, triangle_signed_areas
+from plapopt.perturbation import derivative_report, tangent_field
 from plapopt.rearrangement import LoadField, random_step_load
 from plapopt.solver import (
     SolveConfig,
@@ -88,6 +92,93 @@ class TestResidual:
             um[i] -= h
             fd = (energy(disk, up, f, p, eps) - energy(disk, um, f, p, eps)) / (2 * h)
             assert fd == pytest.approx(r[i], rel=1e-6, abs=1e-10)
+
+
+def coo_reference_hessian(space, u, p, eps, mass_floor_frac=1e-2):
+    """Plain element-by-element COO assembly of ``P1Space.hessian``,
+    floored mass coefficient included."""
+    g = space.gradient(u)
+    s = np.einsum("td,td->t", g, g) + eps * eps
+    c1 = space.areas * s ** ((p - 2.0) / 2.0)
+    c2 = space.areas * (p - 2.0) * s ** ((p - 4.0) / 2.0)
+    bg = np.einsum("tid,td->ti", space.grads, g)
+    local = c1[:, None, None] * np.einsum("tid,tjd->tij", space.grads, space.grads)
+    local += c2[:, None, None] * np.einsum("ti,tj->tij", bg, bg)
+    uq = space.values_at_qp(u)
+    floor = max(eps, mass_floor_frac * float(np.sqrt(np.mean(uq * uq))))
+    w = (p - 1.0) * space.qweights * (uq * uq + floor * floor) ** ((p - 2.0) / 2.0)
+    local += np.einsum("tq,qi,qj->tij", w, TRI_QP, TRI_QP)
+    rows = np.repeat(space.triangles, 3, axis=1).ravel()
+    cols = np.tile(space.triangles, (1, 3)).ravel()
+    n = space.n
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsc()
+
+
+class TestHessian:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_coo_reference(self, disk, p):
+        rng = np.random.default_rng(11)
+        u = 0.5 * rng.normal(size=disk.n_vertices)
+        space = P1Space.of(disk)
+        H = space.hessian(u, p, 0.01)
+        ref = coo_reference_hessian(space, u, p, 0.01)
+        assert H.format == "csc" and H.shape == ref.shape
+        assert abs(H - ref).max() <= 1e-13 * abs(ref).max()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_symmetric(self, disk, p):
+        rng = np.random.default_rng(12)
+        u = 0.5 * rng.normal(size=disk.n_vertices)
+        H = P1Space.of(disk).hessian(u, p, 0.01)
+        assert abs(H - H.T).max() <= 1e-15 * abs(H).max()
+
+    def test_matches_residual_finite_difference_p2(self, disk):
+        # at p = 2 the floored mass coefficient (p-1)(u^2+floor^2)^0 is
+        # exactly p - 1, so H is the exact Jacobian of the residual
+        rng = np.random.default_rng(13)
+        u = 0.5 * rng.normal(size=disk.n_vertices)
+        f = LoadField.from_values(disk, rng.normal(size=disk.n_boundary_cells))
+        p, eps, h = 2.0, 0.01, 1e-4
+        H = P1Space.of(disk).hessian(u, p, eps)
+        for _ in range(4):
+            v = rng.normal(size=disk.n_vertices)
+            fd = (residual(disk, u + h * v, f, p, eps)
+                  - residual(disk, u - h * v, f, p, eps)) / (2 * h)
+            Hv = H @ v
+            assert np.max(np.abs(fd - Hv)) <= 1e-8 * np.max(np.abs(Hv))
+
+
+class TestSpaceCache:
+    def test_one_space_per_mesh(self, monkeypatch):
+        built = []
+        init = fem.P1Space.__init__
+
+        def counting_init(self, mesh):
+            built.append(mesh)
+            init(self, mesh)
+
+        monkeypatch.setattr(fem.P1Space, "__init__", counting_init)
+        mesh = build_disk_mesh(1.0, 32, 4)
+        f = random_step_load(mesh, np.random.default_rng(5))
+        cfg = SolveConfig(p=2.0)
+        state, rep = solve(mesh, f, cfg)
+        energy(mesh, state, f, 2.0, 0.0)
+        residual(mesh, state, f, 2.0, 0.0)
+        functional_I(mesh, state, f, 2.0)
+        drep = derivative_report(
+            mesh, f, tangent_field("sin:1", mesh.total_boundary_length), cfg
+        )
+        assert len(built) == 1 and built[0] is mesh
+        assert drep.J == rep.J
+
+        _, rep_again = solve(mesh, f, cfg)
+        assert rep_again.J == rep.J
+        assert len(built) == 1
+
+        other = build_disk_mesh(1.0, 32, 4)
+        solve(other, LoadField.from_values(other, f.cell_values), cfg)
+        assert len(built) == 2 and built[1] is other
+        assert P1Space.of(other) is not P1Space.of(mesh)
 
 
 class TestSolve:
