@@ -164,6 +164,7 @@ def cmd_solve(args):
         "final_residual": rep.final_residual,
         "iterations_per_stage": rep.iterations_per_stage,
         "eps_stages": rep.eps_stages,
+        "stage_exits": rep.stage_exits,
         "boundary_trace_min": float(state.boundary_trace.min()),
         "boundary_trace_max": float(state.boundary_trace.max()),
         **_provenance(args, args.mesh),

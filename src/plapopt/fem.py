@@ -33,6 +33,10 @@ TRI_QW = np.array([1 / 3, 1 / 3, 1 / 3])
 EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_QW = np.array([0.5, 0.5])
 
+# |u| is floored at this fraction of rms(u) in the Hessian's mass
+# coefficient (see ``P1Space.hessian``).
+MASS_FLOOR_FRAC = 1e-2
+
 
 class P1Space:
     """Precomputed assembly data for P1 elements on a fixed mesh.
@@ -138,17 +142,23 @@ class P1Space:
         )
         return r - b
 
-    def hessian(self, u, p, eps, mass_floor_frac=1e-2):
+    def hessian(self, u, p, eps):
         """Sparse Hessian of ``energy``; SPD for 1 < p and eps > 0.
 
         The mass coefficient (p-1)|u|^{p-2} is evaluated with |u| floored
-        at max(eps, mass_floor_frac * rms(u)): the exact coefficient blows
-        up at u = 0 for p < 2 (stalling Newton with tiny damped steps near
-        zero crossings) and vanishes there for p > 2 (making the matrix
-        singular at the zero start). The energy and residual are
-        untouched, so only the Newton direction is affected; the line
-        search on the exact energy keeps the iteration globally
-        convergent.
+        at MASS_FLOOR_FRAC * rms(u): the exact coefficient blows up at
+        u = 0 for p < 2 (stalling Newton with tiny damped steps near zero
+        crossings) and vanishes there for p > 2 (making the matrix
+        singular). The floor scales with u, so wherever |u| is not near
+        zero the coefficient is exact to a relative (floor/|u|)^2 and
+        Newton converges quadratically; a floor tied to eps (a
+        regularization of the gradient, not a scale of u) can exceed |u|
+        on the whole domain, underestimate the mass curvature everywhere
+        and leave every step damped. Only u = 0, the first step of a cold
+        start, has no scale of its own; there the floor is eps. The energy
+        and residual are untouched, so only the Newton direction is
+        affected; the line search on the exact energy keeps the iteration
+        globally convergent.
         """
         g = self.gradient(u)
         g2 = np.einsum("td,td->t", g, g)
@@ -161,7 +171,8 @@ class P1Space:
         bg = np.einsum("tid,td->ti", self.grads, g)  # (n_t, 3)
         bgbg = (bg[:, :, None] * bg[:, None, :]).reshape(-1, 9)
         uq = self.values_at_qp(u)
-        floor = max(eps, mass_floor_frac * float(np.sqrt(np.mean(uq * uq))))
+        rms = float(np.sqrt(np.mean(uq * uq)))
+        floor = MASS_FLOOR_FRAC * rms if rms > 0.0 else eps
         mc = (uq * uq + floor * floor) ** ((p - 2.0) / 2.0)
         w = (p - 1.0) * self.qweights * mc  # (n_t, 3)
         local = c1[:, None] * self._gg + c2[:, None] * bgbg + w @ self._qq

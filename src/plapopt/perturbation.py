@@ -501,7 +501,7 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
     for tau in (t, -t):
         ft = transport_load(chart, f, field, tau)
         b = space.load_vector_from_function(ft, chart)
-        u, _, _, _, _, rnorm = _continuation(space, b, config, u_init)
+        u, _, _, _, _, _, rnorm = _continuation(space, b, config, u_init)
         if rnorm > config.newton_tol:
             raise SolverError(
                 f"transported solve at t={tau:g} stalled at residual {rnorm:.3e}"
@@ -538,7 +538,7 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
             continue
         ft = transport_load(chart, f, field, t)
         b = space.load_vector_from_function(ft, chart)
-        u, _, _, _, _, rnorm = _continuation(space, b, config, u0.nodal_values)
+        u, _, _, _, _, _, rnorm = _continuation(space, b, config, u0.nodal_values)
         if rnorm > config.newton_tol:
             raise SolverError(f"transported solve at t={t:g} failed")
         diff = u - u0.nodal_values

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from .fem import P1Space
-from .rearrangement import LoadField
+from .rearrangement import LoadField, linear_functional_L
 
 __all__ = [
     "SolveConfig",
@@ -105,6 +105,9 @@ class SolveReport:
     final_residual: float
     iterations_per_stage: list
     eps_stages: list
+    # why each stage stopped: "converged", "cap" (max_newton_iters reached)
+    # or "stall" (the line search found no acceptable step)
+    stage_exits: list
     energy_history: list = field(repr=False)  # one descent list per stage
     gradient_fallbacks: int = 0
     J: float = 0.0
@@ -144,7 +147,8 @@ def residual(mesh, u, f: LoadField, p, eps):
 def _newton_stage(space, u, b, p, eps, cfg, energies):
     """Damped Newton at fixed eps.
 
-    Returns (u, iterations, fallbacks, residual_norm)."""
+    Returns (u, iterations, fallbacks, residual_norm, reason), where
+    reason is "converged", "cap" or "stall" (see ``SolveReport.stage_exits``)."""
     fallbacks = 0
     r = space.residual(u, b, p, eps)
     rnorm = np.linalg.norm(r)
@@ -152,7 +156,7 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
     energies.append(E)
     for it in range(cfg.max_newton_iters):
         if rnorm <= cfg.newton_tol:
-            return u, it, fallbacks, rnorm
+            return u, it, fallbacks, rnorm, "converged"
         H = space.hessian(u, p, eps)
         with np.errstate(all="ignore"):
             d = spsolve(H, -r, permc_spec="MMD_AT_PLUS_A")
@@ -173,30 +177,32 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
             alpha *= cfg.line_search_shrink
         else:
             # Energy cannot decrease along d within machine steps.
-            return u, it + 1, fallbacks, rnorm
+            return u, it + 1, fallbacks, rnorm, "stall"
         u, E = u_try, E_try
         energies.append(E)
         r = space.residual(u, b, p, eps)
         rnorm = np.linalg.norm(r)
-    return u, cfg.max_newton_iters, fallbacks, rnorm
+    reason = "converged" if rnorm <= cfg.newton_tol else "cap"
+    return u, cfg.max_newton_iters, fallbacks, rnorm, reason
 
 
 def _continuation(space, b, cfg, u_init=None):
     u = np.zeros(space.n) if u_init is None else np.array(u_init, dtype=float)
-    eps_list, iters, history = [], [], []
+    eps_list, iters, exits, history = [], [], [], []
     fallbacks = 0
     eps = cfg.eps_initial
     while True:
         energies = []
-        u, it, fb, rnorm = _newton_stage(space, u, b, cfg.p, eps, cfg, energies)
+        u, it, fb, rnorm, reason = _newton_stage(space, u, b, cfg.p, eps, cfg, energies)
         eps_list.append(eps)
         iters.append(it)
+        exits.append(reason)
         history.append(energies)
         fallbacks += fb
         if eps <= cfg.eps_final:
             break
         eps = max(eps * cfg.eps_factor, cfg.eps_final)
-    return u, eps_list, iters, history, fallbacks, rnorm
+    return u, eps_list, iters, exits, history, fallbacks, rnorm
 
 
 def solve(mesh, f: LoadField, config: SolveConfig, u_init=None):
@@ -210,7 +216,7 @@ def solve(mesh, f: LoadField, config: SolveConfig, u_init=None):
     _check_sizes(mesh, f=f)
     space = P1Space.of(mesh)
     b = space.load_vector(f.cell_values)
-    u, eps_list, iters, history, fallbacks, rnorm = _continuation(
+    u, eps_list, iters, exits, history, fallbacks, rnorm = _continuation(
         space, b, config, u_init
     )
     state = StateField(u, space.trace_average(u), config.p, config.eps_final)
@@ -221,6 +227,7 @@ def solve(mesh, f: LoadField, config: SolveConfig, u_init=None):
         final_residual=float(rnorm),
         iterations_per_stage=iters,
         eps_stages=eps_list,
+        stage_exits=exits,
         energy_history=history,
         gradient_fallbacks=fallbacks,
         J=J,
@@ -238,7 +245,7 @@ def functional_J(mesh, f: LoadField, u):
         if isinstance(u, StateField)
         else P1Space.of(mesh).trace_average(_nodal(u))
     )
-    return float(np.sum(f.cell_values * trace * f.weights))
+    return linear_functional_L(f, trace)
 
 
 def functional_I(mesh, u, f: LoadField, p):

@@ -74,6 +74,7 @@ class TestSolveCommand:
             rep = json.load(fh)
         assert rep["J"] == 0.0
         assert rep["converged"]
+        assert rep["stage_exits"] == ["converged"] * len(rep["eps_stages"])
         assert rep["tool_version"]
         assert rep["mesh_sha256"] == file_sha256(mesh_file)
 

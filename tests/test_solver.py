@@ -4,10 +4,11 @@ from scipy import sparse
 from scipy.special import iv
 
 from plapopt import fem
-from plapopt.fem import TRI_QP, P1Space
+from plapopt.acceptance import STEP_LEVELS
+from plapopt.fem import MASS_FLOOR_FRAC, TRI_QP, P1Space
 from plapopt.geometry import build_disk_mesh, triangle_signed_areas
 from plapopt.perturbation import derivative_report, tangent_field
-from plapopt.rearrangement import LoadField, random_step_load
+from plapopt.rearrangement import LoadField, random_step_load, step_load
 from plapopt.solver import (
     SolveConfig,
     StateField,
@@ -94,7 +95,7 @@ class TestResidual:
             assert fd == pytest.approx(r[i], rel=1e-6, abs=1e-10)
 
 
-def coo_reference_hessian(space, u, p, eps, mass_floor_frac=1e-2):
+def coo_reference_hessian(space, u, p, eps):
     """Plain element-by-element COO assembly of ``P1Space.hessian``,
     floored mass coefficient included."""
     g = space.gradient(u)
@@ -105,7 +106,8 @@ def coo_reference_hessian(space, u, p, eps, mass_floor_frac=1e-2):
     local = c1[:, None, None] * np.einsum("tid,tjd->tij", space.grads, space.grads)
     local += c2[:, None, None] * np.einsum("ti,tj->tij", bg, bg)
     uq = space.values_at_qp(u)
-    floor = max(eps, mass_floor_frac * float(np.sqrt(np.mean(uq * uq))))
+    rms = float(np.sqrt(np.mean(uq * uq)))
+    floor = MASS_FLOOR_FRAC * rms if rms > 0.0 else eps
     w = (p - 1.0) * space.qweights * (uq * uq + floor * floor) ** ((p - 2.0) / 2.0)
     local += np.einsum("tq,qi,qj->tij", w, TRI_QP, TRI_QP)
     rows = np.repeat(space.triangles, 3, axis=1).ravel()
@@ -146,6 +148,28 @@ class TestHessian:
                   - residual(disk, u - h * v, f, p, eps)) / (2 * h)
             Hv = H @ v
             assert np.max(np.abs(fd - Hv)) <= 1e-8 * np.max(np.abs(Hv))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_exact_mass_curvature_away_from_zero(self, disk, p, eps):
+        # along the constant direction only the mass term curves; with u
+        # bounded away from zero the floored coefficient must be the exact
+        # one, whatever the gradient regularization eps
+        u = 0.05 * (2.0 + disk.vertices[:, 0])
+        f = LoadField.constant(disk, 0.0)
+        one, h = np.ones(disk.n_vertices), 1e-6
+        H1 = P1Space.of(disk).hessian(u, p, eps) @ one
+        fd = (residual(disk, u + h * one, f, p, eps)
+              - residual(disk, u - h * one, f, p, eps)) / (2 * h)
+        assert np.max(np.abs(fd - H1)) <= 1e-3 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_zero_state_is_finite_and_definite(self, disk, p):
+        # u = 0 has no scale of its own: the floor falls back to eps, so
+        # the first Hessian of a cold start is finite and nonsingular
+        H = P1Space.of(disk).hessian(np.zeros(disk.n_vertices), p, 0.1)
+        assert np.all(np.isfinite(H.data))
+        assert np.linalg.eigvalsh(H.toarray()).min() > 0.0
 
 
 class TestSpaceCache:
@@ -240,9 +264,34 @@ class TestSolve:
         )
         u, rep = solve(disk, f, cfg)
         assert not rep.converged
+        assert rep.stage_exits == ["cap"]
         assert rep.final_residual > cfg.newton_tol
         assert np.all(np.isfinite(u.nodal_values))
         assert np.isfinite(rep.J)
+
+    @pytest.mark.parametrize("p, budget", [(1.3, 70), (1.5, 40)])
+    def test_cold_start_newton_budget(self, disk, p, budget):
+        # criterion 1's step load from u = 0: every stage converges well
+        # within the cap (a Hessian that misjudges the mass curvature
+        # damps every step and drives the first stages to the cap)
+        cfg = SolveConfig(p=p)
+        _, rep = solve(disk, step_load(disk, STEP_LEVELS), cfg)
+        assert rep.converged
+        assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
+        assert max(rep.iterations_per_stage) < cfg.max_newton_iters
+        assert sum(rep.iterations_per_stage) <= budget
+
+    def test_line_search_stall_is_reported(self, disk):
+        # a load beyond floating range: the Newton slope overflows to -inf,
+        # no step passes the Armijo test, and every stage stops after one
+        # step as a stall, not at the iteration cap
+        f = LoadField.constant(disk, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, rep = solve(disk, f, SolveConfig(p=2.0))
+        assert not rep.converged
+        assert rep.stage_exits == ["stall"] * len(rep.eps_stages)
+        assert rep.iterations_per_stage == [1] * len(rep.eps_stages)
+        assert np.all(u.nodal_values == 0.0)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
