@@ -124,10 +124,6 @@ def _provenance(args, mesh_path=None, seed=None):
 
 
 def cmd_mesh(args):
-    if args.config:
-        cfg = parse_config(args.config, "mesh")
-        for k, v in cfg.items():
-            setattr(args, k, v)
     out = _default_out(args.out, "mesh.txt")
     if args.shape == "disk":
         n_radial = args.n_radial or max(2, round(args.n / 6.4))
@@ -146,15 +142,10 @@ def cmd_mesh(args):
 
 
 def cmd_solve(args):
-    if args.config:
-        cfg = parse_config(args.config, "solve")
-        for k, v in cfg.items():
-            setattr(args, k, v)
-    _validate_p(args.p)
+    config = SolveConfig(p=float(args.p), eps_final=float(args.eps_final))
     mesh = _load_mesh(args.mesh)
     f = read_load(args.load, mesh)
     out = _default_out(args.out, "solve.json")
-    config = SolveConfig(p=float(args.p), eps_final=float(args.eps_final))
     state, rep = solve(mesh, f, config)
     payload = {
         "J": rep.J,
@@ -178,21 +169,16 @@ def cmd_solve(args):
 
 
 def cmd_optimize(args):
-    if args.config:
-        cfg = parse_config(args.config, "optimize")
-        for k, v in cfg.items():
-            setattr(args, k, v)
-    _validate_p(args.p)
-    mesh = _load_mesh(args.mesh)
-    f0 = read_load(args.load0, mesh)
-    out_dir = _default_out(args.out, "optimize-out")
-    os.makedirs(out_dir, exist_ok=True)
     config = OptimizeConfig(
         solver=SolveConfig(p=float(args.p)),
         n_restarts=int(args.restarts),
         seed=int(args.seed),
         max_outer_iters=int(args.max_iters),
     )
+    mesh = _load_mesh(args.mesh)
+    f0 = read_load(args.load0, mesh)
+    out_dir = _default_out(args.out, "optimize-out")
+    os.makedirs(out_dir, exist_ok=True)
     fhat, uhat, hist = maximize_over_rearrangements(mesh, f0, config)
     write_load(os.path.join(out_dir, "fhat.txt"), fhat)
     write_csv(
@@ -220,18 +206,12 @@ def cmd_optimize(args):
 
 
 def cmd_derivative(args):
-    if args.config:
-        cfg = parse_config(args.config, "derivative")
-        for k, v in cfg.items():
-            setattr(args, k, v)
-    _validate_p(args.p)
+    config = SolveConfig(p=float(args.p))
     mesh = _load_mesh(args.mesh)
     f = read_load(args.load, mesh)
     out = _default_out(args.out, "derivative.json")
     field = tangent_field(args.field, mesh.total_boundary_length)
-    rep = derivative_report(
-        mesh, f, field, SolveConfig(p=float(args.p)), t=float(args.t)
-    )
+    rep = derivative_report(mesh, f, field, config, t=float(args.t))
     payload = {
         "estimates": rep.values,
         "discrepancies": rep.discrepancies,
@@ -258,10 +238,6 @@ def cmd_derivative(args):
 
 
 def cmd_suite(args):
-    if args.config:
-        cfg = parse_config(args.config, "suite")
-        for k, v in cfg.items():
-            setattr(args, k, v)
     if args.kind != "acceptance":
         raise ConfigError(f"unknown suite {args.kind!r}; available: acceptance")
     numbers = set(args.criteria) if args.criteria else None
@@ -362,6 +338,9 @@ def main(argv=None):
         # argparse exits 2 on usage errors, matching our config-error code
         return exc.code
     try:
+        if args.config:
+            for k, v in parse_config(args.config, args.command).items():
+                setattr(args, k, v)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,10 +71,6 @@ class OptimizeHistory:
     def per_restart(self, r):
         return [rec for rec in self.records if rec.restart == r]
 
-    @property
-    def best_restart(self):
-        return max(self.restart_results, key=lambda t: t[1])[0]
-
 
 def _count_trace_ties(trace):
     t = np.sort(trace)

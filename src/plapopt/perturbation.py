@@ -35,14 +35,12 @@ from scipy.interpolate import CubicSpline
 from .fem import EDGE_QW, P1Space
 from .geometry import ArclengthChart
 from .rearrangement import LoadField
-from .solver import SolveConfig, SolverError, StateField, _continuation, solve
+from .solver import SolveConfig, SolverError, StateField, solve
 
 __all__ = [
     "TangentField",
     "tangent_field",
     "FlowMap",
-    "flow_map",
-    "tangential_jacobian",
     "PiecewiseBoundaryFunction",
     "transport_load",
     "lq_distance",
@@ -63,6 +61,10 @@ __all__ = [
 # Validated once against deriv_finite_difference (see the test suite) and
 # frozen here.
 JUMP_SIGN = -1.0
+
+# transported_solution_check calls a distance sequence monotone when each
+# value is at most this factor times the previous one.
+MONOTONE_SLACK = 1.1
 
 
 def _smoothstep(x):
@@ -158,7 +160,7 @@ class TangentField:
             return np.where(r > 0, A / r * wp, 0.0)
 
 
-def tangent_field(spec, period, collar_frac=0.3, amplitude=1.0):
+def tangent_field(spec, period, collar_frac=0.3):
     """Build a catalog speed field from a textual spec.
 
     Supported specs: ``constant`` (or ``constant:c``), ``sin:k``,
@@ -168,7 +170,7 @@ def tangent_field(spec, period, collar_frac=0.3, amplitude=1.0):
     L = float(period)
     kind, _, arg = str(spec).partition(":")
     if kind == "constant":
-        c = float(arg) if arg else amplitude
+        c = float(arg) if arg else 1.0
         return TangentField(
             name=f"constant:{c:g}",
             period=L,
@@ -178,17 +180,16 @@ def tangent_field(spec, period, collar_frac=0.3, amplitude=1.0):
     if kind in ("sin", "cos"):
         k = int(arg) if arg else 1
         om = 2.0 * np.pi * k / L
-        a = amplitude
         if kind == "sin":
             return TangentField(
                 name=f"sin:{k}", period=L,
-                speed=lambda s: a * np.sin(om * np.asarray(s, dtype=float)),
-                speed_prime=lambda s: a * om * np.cos(om * np.asarray(s, dtype=float)),
+                speed=lambda s: np.sin(om * np.asarray(s, dtype=float)),
+                speed_prime=lambda s: om * np.cos(om * np.asarray(s, dtype=float)),
             )
         return TangentField(
             name=f"cos:{k}", period=L,
-            speed=lambda s: a * np.cos(om * np.asarray(s, dtype=float)),
-            speed_prime=lambda s: -a * om * np.sin(om * np.asarray(s, dtype=float)),
+            speed=lambda s: np.cos(om * np.asarray(s, dtype=float)),
+            speed_prime=lambda s: -om * np.sin(om * np.asarray(s, dtype=float)),
         )
     if kind == "bump":
         try:
@@ -197,7 +198,6 @@ def tangent_field(spec, period, collar_frac=0.3, amplitude=1.0):
             raise ValueError(f"bump spec needs 'bump:center,width', got {spec!r}")
         if not 0 < width <= L:
             raise ValueError(f"bump width must lie in (0, {L}], got {width}")
-        a = amplitude
 
         def _xi(s):
             d = np.mod(np.asarray(s, dtype=float) - center + L / 2, L) - L / 2
@@ -207,7 +207,7 @@ def tangent_field(spec, period, collar_frac=0.3, amplitude=1.0):
             xi = _xi(s)
             out = np.zeros_like(xi)
             inside = np.abs(xi) < 1.0
-            out[inside] = a * np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
+            out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi[inside] ** 2))
             return out
 
         def vp(s):
@@ -216,8 +216,7 @@ def tangent_field(spec, period, collar_frac=0.3, amplitude=1.0):
             inside = np.abs(xi) < 1.0
             xin = xi[inside]
             out[inside] = (
-                a
-                * np.exp(1.0 - 1.0 / (1.0 - xin**2))
+                np.exp(1.0 - 1.0 / (1.0 - xin**2))
                 * (-2.0 * xin / (1.0 - xin**2) ** 2)
                 * (2.0 / width)
             )
@@ -234,7 +233,7 @@ def _rk4(field: TangentField, s0, t, n_steps, with_jacobian=False):
     when the tangential Jacobian is requested.
     """
     s = np.array(s0, dtype=float)
-    if t == 0.0 or n_steps == 0:
+    if t == 0.0:
         return (s, np.ones_like(s)) if with_jacobian else s
     h = t / n_steps
     v, vp = field.speed, field.speed_prime
@@ -261,10 +260,10 @@ def _default_steps(t):
 class FlowMap:
     """Boundary diffeomorphism psi_t generated by a tangent field."""
 
-    def __init__(self, field: TangentField, t, n_steps=None):
+    def __init__(self, field: TangentField, t):
         self.field = field
         self.t = float(t)
-        self.n_steps = _default_steps(t) if n_steps is None else int(n_steps)
+        self.n_steps = _default_steps(t)
 
     def forward(self, s):
         return _rk4(self.field, s, self.t, self.n_steps)
@@ -275,14 +274,6 @@ class FlowMap:
     def jacobian(self, s):
         """Tangential Jacobian d psi_t / ds; equals 1 + t v'(s) + O(t^2)."""
         return _rk4(self.field, s, self.t, self.n_steps, with_jacobian=True)[1]
-
-
-def flow_map(field: TangentField, t, n_steps=None) -> FlowMap:
-    return FlowMap(field, t, n_steps)
-
-
-def tangential_jacobian(field: TangentField, t, s, n_steps=None):
-    return FlowMap(field, t, n_steps).jacobian(s)
 
 
 class PiecewiseBoundaryFunction:
@@ -329,12 +320,12 @@ class PiecewiseBoundaryFunction:
                 yield lo + offset, hi + offset, float(self(0.5 * (lo + hi)))
 
 
-def transport_load(chart: ArclengthChart, f: LoadField, field: TangentField, t, n_steps=None):
+def transport_load(chart: ArclengthChart, f: LoadField, field: TangentField, t):
     """Exact pullback f o psi_t^{-1} as an evaluable piecewise-constant
     function: piece start points move with the forward flow, values ride
     along unchanged (no resampling onto cells)."""
     base = PiecewiseBoundaryFunction.from_load(chart, f)
-    moved = np.mod(FlowMap(field, t, n_steps).forward(base.breaks), chart.length)
+    moved = np.mod(FlowMap(field, t).forward(base.breaks), chart.length)
     return PiecewiseBoundaryFunction(moved, base.values, chart.length)
 
 
@@ -400,14 +391,14 @@ def _nearest_point_extension(mesh, chart, field, points):
     return V, Jac
 
 
-def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField, p=None):
+def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField):
     """Volume-integral estimate of I'(0) (see the module docstring).
 
     On a centered disk mesh the collar extension, its Jacobian and its
     divergence are analytic. Other domains fall back to a nearest-point
     extension with a numeric Jacobian and a warning.
     """
-    p = u0.p if p is None else float(p)
+    p = u0.p
     space = P1Space.of(mesh)
     chart = mesh.chart()
     u = u0.nodal_values
@@ -489,24 +480,28 @@ def deriv_bvjump_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     return p / (p - 1.0) * JUMP_SIGN * total
 
 
+def _converged_solve(mesh, f, config, u_init, what):
+    """``solve``, raising SolverError if the residual missed newton_tol."""
+    state, rep = solve(mesh, f, config, u_init)
+    if not rep.converged:
+        raise SolverError(f"{what} stalled at residual {rep.final_residual:.3e}")
+    return state, rep
+
+
 def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
                             config: SolveConfig, t=1e-3, u_init=None):
     """Central difference (J(f_t) - J(f_{-t})) / (2t) with full solves at
     the exactly-transported loads."""
     if t <= 0:
         raise ValueError("finite-difference step t must be positive")
-    space = P1Space.of(mesh)
     chart = mesh.chart()
     Js = []
     for tau in (t, -t):
         ft = transport_load(chart, f, field, tau)
-        b = space.load_vector_from_function(ft, chart)
-        u, _, _, _, _, _, rnorm = _continuation(space, b, config, u_init)
-        if rnorm > config.newton_tol:
-            raise SolverError(
-                f"transported solve at t={tau:g} stalled at residual {rnorm:.3e}"
-            )
-        Js.append(float(b @ u))
+        _, rep = _converged_solve(
+            mesh, ft, config, u_init, f"transported solve at t={tau:g}"
+        )
+        Js.append(rep.J)
     return (Js[0] - Js[1]) / (2.0 * t)
 
 
@@ -520,15 +515,14 @@ class TransportConvergenceRecord:
 
 
 def transported_solution_check(mesh, f: LoadField, field: TangentField,
-                               t_sequence, config: SolveConfig,
-                               monotone_slack=1.1):
+                               t_sequence, config: SolveConfig):
     """Solve along a decreasing sequence of flow times and record the
     decay of the solution and load distances to the base pair."""
     space = P1Space.of(mesh)
     chart = mesh.chart()
     p = config.p
     q = p / (p - 1.0)
-    u0, _ = solve(mesh, f, config)
+    u0, _ = _converged_solve(mesh, f, config, None, "base solve")
     base = PiecewiseBoundaryFunction.from_load(chart, f)
     u_norms, f_norms = [], []
     for t in t_sequence:
@@ -537,17 +531,16 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
             f_norms.append(0.0)
             continue
         ft = transport_load(chart, f, field, t)
-        b = space.load_vector_from_function(ft, chart)
-        u, _, _, _, _, _, rnorm = _continuation(space, b, config, u0.nodal_values)
-        if rnorm > config.newton_tol:
-            raise SolverError(f"transported solve at t={t:g} failed")
-        diff = u - u0.nodal_values
+        ut, _ = _converged_solve(
+            mesh, ft, config, u0.nodal_values, f"transported solve at t={t:g}"
+        )
+        diff = ut.nodal_values - u0.nodal_values
         gterm, mterm = space.integrate_lp(diff, p)
         u_norms.append((gterm + mterm) ** (1.0 / p))
         f_norms.append(lq_distance(ft, base, q))
 
     def monotone(vals):
-        return all(b <= a * monotone_slack for a, b in zip(vals, vals[1:]))
+        return all(b <= a * MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
 
     return TransportConvergenceRecord(
         ts=list(t_sequence),
@@ -610,9 +603,9 @@ def pairwise_discrepancies(values):
 def derivative_report(mesh, f: LoadField, field: TangentField,
                       config: SolveConfig, t=1e-3) -> DerivativeReport:
     """Solve the base problem once and assemble all four estimates."""
-    u0, rep = solve(mesh, f, config)
+    u0, rep = _converged_solve(mesh, f, config, None, "base solve")
     vals = {
-        "volume": deriv_volume_formula(mesh, u0, f, field, config.p),
+        "volume": deriv_volume_formula(mesh, u0, f, field),
         "surfdiv": deriv_surfdiv_formula(mesh, u0, f, field),
         "bvjump": deriv_bvjump_formula(mesh, u0, f, field),
         "findiff": deriv_finite_difference(

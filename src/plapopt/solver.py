@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from .fem import P1Space
-from .rearrangement import LoadField, linear_functional_L
+from .rearrangement import LoadField
 
 __all__ = [
     "SolveConfig",
@@ -119,29 +119,44 @@ def _nodal(u):
     return u.nodal_values if isinstance(u, StateField) else np.asarray(u, dtype=float)
 
 
-def _check_sizes(mesh, u=None, f=None):
-    if u is not None and _nodal(u).size != mesh.n_vertices:
+def _check_state(mesh, u):
+    if _nodal(u).size != mesh.n_vertices:
         raise ValueError(
             f"state has {_nodal(u).size} values, mesh has {mesh.n_vertices} vertices"
         )
-    if f is not None and f.n_cells != mesh.n_boundary_cells:
-        raise ValueError(
-            f"load has {f.n_cells} cells, mesh has {mesh.n_boundary_cells}"
-        )
 
 
-def energy(mesh, u, f: LoadField, p, eps):
+def _load_vector(mesh, f):
+    """Nodal load vector b of f, so that int f u ds = b.u for P1 fields u.
+
+    f is a ``LoadField`` (cellwise constant) or any function of arclength
+    that ``P1Space.load_vector_from_function`` integrates exactly, such as
+    a load transported by a boundary flow."""
+    space = P1Space.of(mesh)
+    if isinstance(f, LoadField):
+        if f.n_cells != mesh.n_boundary_cells:
+            raise ValueError(
+                f"load has {f.n_cells} cells, mesh has {mesh.n_boundary_cells}"
+            )
+        return space.load_vector(f.cell_values)
+    return space.load_vector_from_function(f, mesh.chart())
+
+
+def _dual_I(space, u, J, p):
+    grad_term, mass_term = space.integrate_lp(u, p)
+    return (p * J - grad_term - mass_term) / (p - 1.0)
+
+
+def energy(mesh, u, f, p, eps):
     """E_eps(u) as defined in the module docstring."""
-    _check_sizes(mesh, u, f)
-    space = P1Space.of(mesh)
-    return space.energy(_nodal(u), space.load_vector(f.cell_values), p, eps)
+    _check_state(mesh, u)
+    return P1Space.of(mesh).energy(_nodal(u), _load_vector(mesh, f), p, eps)
 
 
-def residual(mesh, u, f: LoadField, p, eps):
+def residual(mesh, u, f, p, eps):
     """Nodal gradient of E_eps; zero at the discrete solution."""
-    _check_sizes(mesh, u, f)
-    space = P1Space.of(mesh)
-    return space.residual(_nodal(u), space.load_vector(f.cell_values), p, eps)
+    _check_state(mesh, u)
+    return P1Space.of(mesh).residual(_nodal(u), _load_vector(mesh, f), p, eps)
 
 
 def _newton_stage(space, u, b, p, eps, cfg, energies):
@@ -186,42 +201,39 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
     return u, cfg.max_newton_iters, fallbacks, rnorm, reason
 
 
-def _continuation(space, b, cfg, u_init=None):
-    u = np.zeros(space.n) if u_init is None else np.array(u_init, dtype=float)
-    eps_list, iters, exits, history = [], [], [], []
-    fallbacks = 0
-    eps = cfg.eps_initial
-    while True:
-        energies = []
-        u, it, fb, rnorm, reason = _newton_stage(space, u, b, cfg.p, eps, cfg, energies)
-        eps_list.append(eps)
-        iters.append(it)
-        exits.append(reason)
-        history.append(energies)
-        fallbacks += fb
-        if eps <= cfg.eps_final:
-            break
-        eps = max(eps * cfg.eps_factor, cfg.eps_final)
-    return u, eps_list, iters, exits, history, fallbacks, rnorm
-
-
-def solve(mesh, f: LoadField, config: SolveConfig, u_init=None):
+def solve(mesh, f, config: SolveConfig, u_init=None):
     """Solve the Neumann problem with load f.
+
+    f is a ``LoadField`` or a transported load (see ``_load_vector``);
+    its load vector is built once per solve.
 
     Returns (StateField, SolveReport). The report carries the functionals
     J and I and their gap; ``converged`` means the residual norm at
     eps_final dropped below newton_tol. On non-convergence the partial
     state is still returned.
     """
-    _check_sizes(mesh, f=f)
     space = P1Space.of(mesh)
-    b = space.load_vector(f.cell_values)
-    u, eps_list, iters, exits, history, fallbacks, rnorm = _continuation(
-        space, b, config, u_init
-    )
+    b = _load_vector(mesh, f)
+    u = np.zeros(space.n) if u_init is None else np.array(u_init, dtype=float)
+    eps_list, iters, exits, history = [], [], [], []
+    fallbacks = 0
+    eps = config.eps_initial
+    while True:
+        energies = []
+        u, it, fb, rnorm, reason = _newton_stage(
+            space, u, b, config.p, eps, config, energies
+        )
+        eps_list.append(eps)
+        iters.append(it)
+        exits.append(reason)
+        history.append(energies)
+        fallbacks += fb
+        if eps <= config.eps_final:
+            break
+        eps = max(eps * config.eps_factor, config.eps_final)
     state = StateField(u, space.trace_average(u), config.p, config.eps_final)
-    J = functional_J(mesh, f, state)
-    I = functional_I(mesh, state, f, config.p)
+    J = float(b @ u)
+    I = _dual_I(space, u, J, config.p)
     report = SolveReport(
         converged=bool(rnorm <= config.newton_tol),
         final_residual=float(rnorm),
@@ -237,25 +249,16 @@ def solve(mesh, f: LoadField, config: SolveConfig, u_init=None):
     return state, report
 
 
-def functional_J(mesh, f: LoadField, u):
-    """Boundary functional J = sum_c f_c * trace_c * w_c."""
-    _check_sizes(mesh, u, f)
-    trace = (
-        u.boundary_trace
-        if isinstance(u, StateField)
-        else P1Space.of(mesh).trace_average(_nodal(u))
-    )
-    return linear_functional_L(f, trace)
+def functional_J(mesh, f, u):
+    """Boundary functional J = int f u ds = b.u (b: the load vector of f)."""
+    _check_state(mesh, u)
+    return float(_load_vector(mesh, f) @ _nodal(u))
 
 
-def functional_I(mesh, u, f: LoadField, p):
+def functional_I(mesh, u, f, p):
     """Dual energy I(u); equals J(f) at the solution (zero duality gap).
 
     The volume term is evaluated unregularized (eps = 0) regardless of the
     eps used to compute u.
     """
-    _check_sizes(mesh, u, f)
-    space = P1Space.of(mesh)
-    grad_term, mass_term = space.integrate_lp(_nodal(u), p)
-    J = functional_J(mesh, f, u)
-    return (p * J - grad_term - mass_term) / (p - 1.0)
+    return _dual_I(P1Space.of(mesh), _nodal(u), functional_J(mesh, f, u), p)

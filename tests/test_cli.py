@@ -84,9 +84,15 @@ class TestSolveCommand:
         assert rc == EXIT_CONFIG
 
     def test_bad_p_is_config_error(self, workdir, mesh_file, load_file):
-        rc = main(["solve", "--mesh", str(mesh_file), "--load", str(load_file),
-                   "--p", "0.5", "--out", "s.json"])
-        assert rc == EXIT_CONFIG
+        for command, load_flag, extra in (
+            ("solve", "--load", []),
+            ("optimize", "--load0", []),
+            ("derivative", "--load", ["--field", "sin:1"]),
+        ):
+            rc = main([command, "--mesh", str(mesh_file), load_flag, str(load_file),
+                       "--p", "0.5", "--out", "bad-out", *extra])
+            assert rc == EXIT_CONFIG
+            assert not os.path.exists("bad-out")
 
 
 class TestOptimizeCommand:

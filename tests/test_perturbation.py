@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plapopt.acceptance import STEP_LEVELS
 from plapopt.geometry import build_disk_mesh, build_square_mesh
 from plapopt.perturbation import (
     FlowMap,
@@ -10,15 +11,13 @@ from plapopt.perturbation import (
     deriv_surfdiv_formula,
     deriv_volume_formula,
     derivative_report,
-    flow_map,
     lq_distance,
     tangent_field,
-    tangential_jacobian,
     transport_load,
     transported_solution_check,
 )
 from plapopt.rearrangement import LoadField, binary_load, step_load
-from plapopt.solver import SolveConfig, solve
+from plapopt.solver import SolveConfig, SolverError, solve
 
 L2PI = 2.0 * np.pi
 
@@ -37,28 +36,28 @@ class TestFlowMap:
     def test_constant_speed_translates(self):
         fld = tangent_field("constant", L2PI)
         s = np.array([0.0, 1.0, 4.5])
-        out = flow_map(fld, 0.5).forward(s)
+        out = FlowMap(fld, 0.5).forward(s)
         assert np.allclose(out, s + 0.5, atol=1e-12)
 
     def test_zero_field_is_identity(self):
         fld = tangent_field("constant:0", L2PI)
         s = np.linspace(0, L2PI, 11)
-        assert np.allclose(flow_map(fld, 0.7).forward(s), s, atol=1e-15)
+        assert np.allclose(FlowMap(fld, 0.7).forward(s), s, atol=1e-15)
 
     def test_first_order_expansion(self):
         fld = tangent_field("sin:1", L2PI)
         s = np.linspace(0, L2PI, 23, endpoint=False)
         t = 1e-3
-        dev = np.max(np.abs(flow_map(fld, t).forward(s) - (s + t * np.sin(s))))
+        dev = np.max(np.abs(FlowMap(fld, t).forward(s) - (s + t * np.sin(s))))
         assert dev <= 1e-5
         dev_half = np.max(
-            np.abs(flow_map(fld, t / 2).forward(s) - (s + t / 2 * np.sin(s)))
+            np.abs(FlowMap(fld, t / 2).forward(s) - (s + t / 2 * np.sin(s)))
         )
         assert 3.5 <= dev / dev_half <= 4.5  # second order in t
 
     def test_inverse_roundtrip(self):
         fld = tangent_field("cos:2", L2PI)
-        fm = flow_map(fld, 0.4)
+        fm = FlowMap(fld, 0.4)
         s = np.linspace(0, L2PI, 17, endpoint=False)
         assert np.max(np.abs(fm.inverse(fm.forward(s)) - s)) < 1e-11
 
@@ -73,12 +72,12 @@ class TestTangentialJacobian:
     def test_constant_field_unit_jacobian(self):
         fld = tangent_field("constant", L2PI)
         s = np.linspace(0, L2PI, 9)
-        assert np.allclose(tangential_jacobian(fld, 0.8, s), 1.0, atol=1e-13)
+        assert np.allclose(FlowMap(fld, 0.8).jacobian(s), 1.0, atol=1e-13)
 
     def test_linearization(self):
         fld = tangent_field("sin:1", L2PI)
         t = 1e-3
-        jac = tangential_jacobian(fld, t, np.array([0.0]))
+        jac = FlowMap(fld, t).jacobian(np.array([0.0]))
         assert jac[0] == pytest.approx(1.0 + t, abs=1e-6)
 
     def test_measure_preserved_over_period(self):
@@ -87,7 +86,7 @@ class TestTangentialJacobian:
         fld = tangent_field("sin:2", L2PI)
         n = 4096
         s = (np.arange(n) + 0.5) * L2PI / n
-        jac = tangential_jacobian(fld, 0.3, s)
+        jac = FlowMap(fld, 0.3).jacobian(s)
         assert np.sum(jac) * L2PI / n == pytest.approx(L2PI, rel=1e-8)
 
 
@@ -136,6 +135,20 @@ class TestTransport:
         b_cells = space.load_vector(f.cell_values)
         assert np.max(np.abs(b_exact - b_cells)) < 1e-13
 
+    def test_solve_takes_transported_load(self, disk):
+        # a load transported by zero is the load itself, through the
+        # function route of the load vector instead of the cell route
+        chart = disk.chart()
+        f = step_load(disk, STEP_LEVELS)
+        ft = transport_load(chart, f, tangent_field("sin:1", chart.length), 0.0)
+        cfg = SolveConfig(p=3.0)
+        u, rep = solve(disk, f, cfg)
+        ut, rept = solve(disk, ft, cfg)
+        assert rept.converged
+        assert rept.J == pytest.approx(rep.J, rel=1e-12)
+        scale = np.max(np.abs(u.nodal_values))
+        assert np.max(np.abs(ut.nodal_values - u.nodal_values)) <= 1e-12 * scale
+
 
 class TestDerivativeFormulas:
     def test_zero_field_gives_zero(self, disk):
@@ -143,7 +156,7 @@ class TestDerivativeFormulas:
         cfg = SolveConfig(p=2.0)
         u0, _ = solve(disk, f, cfg)
         zero = tangent_field("constant:0", disk.total_boundary_length)
-        assert deriv_volume_formula(disk, u0, f, zero, 2.0) == 0.0
+        assert deriv_volume_formula(disk, u0, f, zero) == 0.0
         assert deriv_surfdiv_formula(disk, u0, f, zero) == 0.0
         assert deriv_bvjump_formula(disk, u0, f, zero) == 0.0
         assert deriv_finite_difference(disk, f, zero, cfg, t=1e-3) == 0.0
@@ -156,7 +169,7 @@ class TestDerivativeFormulas:
         f = LoadField.constant(disk, 0.0)
         u0 = StateField.from_nodal(disk, np.zeros(disk.n_vertices), 1.5, 0.0)
         fld = tangent_field("sin:1", disk.total_boundary_length)
-        assert deriv_volume_formula(disk, u0, f, fld, 1.5) == 0.0
+        assert deriv_volume_formula(disk, u0, f, fld) == 0.0
 
     def test_constant_load_kills_boundary_routes(self, disk):
         f = LoadField.constant(disk, 1.0)
@@ -184,7 +197,7 @@ class TestDerivativeFormulas:
         v2 = tangent_field(f"bump:{0.4 * L},{0.3 * L}", L)
         v12 = v1 + v2
         for form in (
-            lambda v: deriv_volume_formula(disk, u0, f, v, 3.0),
+            lambda v: deriv_volume_formula(disk, u0, f, v),
             lambda v: deriv_surfdiv_formula(disk, u0, f, v),
             lambda v: deriv_bvjump_formula(disk, u0, f, v),
         ):
@@ -233,7 +246,7 @@ class TestDerivativeFormulas:
         u0, rep = solve(disk_fine, f, cfg)
         fld = tangent_field("constant", disk_fine.total_boundary_length)
         worst = max(
-            abs(deriv_volume_formula(disk_fine, u0, f, fld, 1.5)),
+            abs(deriv_volume_formula(disk_fine, u0, f, fld)),
             abs(deriv_surfdiv_formula(disk_fine, u0, f, fld)),
             abs(deriv_bvjump_formula(disk_fine, u0, f, fld)),
         )
@@ -257,8 +270,32 @@ class TestDerivativeFormulas:
         u0, _ = solve(mesh, f, SolveConfig(p=2.0))
         fld = tangent_field("sin:1", mesh.total_boundary_length)
         with pytest.warns(UserWarning, match="nearest-point"):
-            val = deriv_volume_formula(mesh, u0, f, fld, 2.0)
+            val = deriv_volume_formula(mesh, u0, f, fld)
         assert np.isfinite(val)
+
+
+class TestUnconvergedSolves:
+    # Newton-starved at p = 3: the base residual stays at 3.9e-3
+    STARVED = SolveConfig(p=3.0, eps_initial=1e-8, eps_final=1e-8,
+                          max_newton_iters=4)
+
+    def test_derivative_report_refuses_unconverged_base(self, disk):
+        f = step_load(disk, STEP_LEVELS)
+        fld = tangent_field("sin:1", disk.total_boundary_length)
+        with pytest.raises(SolverError, match="base solve stalled at residual"):
+            derivative_report(disk, f, fld, self.STARVED)
+
+    def test_transport_check_refuses_unconverged_base(self, disk):
+        f = step_load(disk, STEP_LEVELS)
+        fld = tangent_field("sin:1", disk.total_boundary_length)
+        with pytest.raises(SolverError, match="base solve stalled at residual"):
+            transported_solution_check(disk, f, fld, [0.0], self.STARVED)
+
+    def test_finite_difference_names_residual(self, disk):
+        f = step_load(disk, STEP_LEVELS)
+        fld = tangent_field("sin:1", disk.total_boundary_length)
+        with pytest.raises(SolverError, match="t=0.001 stalled at residual"):
+            deriv_finite_difference(disk, f, fld, self.STARVED)
 
 
 class TestTransportedSolutionCheck:
