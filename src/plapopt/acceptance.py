@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import build_disk_mesh
+from .geometry import build_disk_mesh, build_square_mesh
 from .optimizer import OptimizeConfig, maximize_over_rearrangements
 from .perturbation import (
     FlowMap,
@@ -282,9 +282,11 @@ def criterion_7_derivative_agreement():
 def criterion_8_symmetry_null():
     """All four I'(0) estimates vanish to 1e-4 (1 + |J|) for a constant
     (rotation) field on the disk; run at p in {2, 3} on the 512-cell mesh.
-    p < 2 is excluded because the estimates do not vanish to this
-    tolerance there: at p = 1.5 the largest (the jump formula, ~1e-3) is
-    about 5 times it on this mesh."""
+    The volume route vanishes exactly at every p, because the discrete
+    extension of the rotation field is the rotation itself. p < 2 is
+    excluded because the jump, surface-divergence and finite-difference
+    routes do not vanish to this tolerance there: at p = 1.5 the largest
+    (the jump formula, ~1e-3) is about 5 times it on this mesh."""
     t0 = time.time()
     mesh = build_disk_mesh(1.0, 512, 80)
     L = mesh.total_boundary_length
@@ -359,6 +361,32 @@ def criterion_10_flow_fidelity():
     )
 
 
+def criterion_11_square_agreement():
+    """Pairwise relative discrepancy of the four I'(0) estimates <= 1e-2
+    on the square with 64 cells per side for p in {1.5, 2, 3} and the
+    fields sin:1 and cos:2, decreasing from 32 cells per side."""
+    t0 = time.time()
+    ok = True
+    table = []
+    for p in (1.5, 2.0, 3.0):
+        for spec in ("sin:1", "cos:2"):
+            discs = {}
+            for n in (32, 64):
+                mesh = build_square_mesh(1.0, n)
+                f = step_load(mesh, STEP_LEVELS)
+                fld = tangent_field(spec, mesh.total_boundary_length)
+                rep = derivative_report(mesh, f, fld, SolveConfig(p=p), t=1e-3)
+                discs[n] = rep.max_discrepancy
+            ok = ok and discs[64] <= 1e-2 and discs[64] < discs[32]
+            table.append((p, spec, discs[32], discs[64]))
+    return _result(
+        11, "four-way derivative agreement on the square", ok,
+        {"max_disc_32": max(r[2] for r in table),
+         "max_disc_64": max(r[3] for r in table),
+         "cases": table}, t0,
+    )
+
+
 ALL_CRITERIA = [
     criterion_1_duality,
     criterion_2_linear_oracle,
@@ -370,6 +398,7 @@ ALL_CRITERIA = [
     criterion_8_symmetry_null,
     criterion_9_transport_convergence,
     criterion_10_flow_fidelity,
+    criterion_11_square_agreement,
 ]
 
 

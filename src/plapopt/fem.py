@@ -11,6 +11,8 @@ The sparsity pattern of the Hessian is fixed by the mesh, so the space
 precomputes it in compressed-column form together with the map that
 scatters every local element entry into its slot; each Newton step then
 only computes the entry values and sums them with one ``bincount``.
+The stiffness matrix of ``harmonic_extension`` is summed into the same
+pattern.
 The Hessian is symmetric positive definite with a symmetric pattern, so
 the solver orders its sparse LU by minimum degree on A^T + A
 (``MMD_AT_PLUS_A``) rather than by COLAMD, which orders A^T A and gives
@@ -20,6 +22,7 @@ Systems*, SIAM 2006, ch. 7).
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 # Barycentric coordinates and weights of the degree-2 triangle rule.
 TRI_QP = np.array([
@@ -65,7 +68,6 @@ class P1Space:
         g[:, 2, 1] = d1[:, 0] / det
         g[:, 0] = -g[:, 1] - g[:, 2]
         self.grads = g
-        self.qpoints = np.einsum("qi,tid->tqd", TRI_QP, p)  # (n_t, 3, 2)
         self.qweights = self.areas[:, None] * TRI_QW[None, :]
 
         # Local Hessian entry 3i+j of triangle t couples tri[t, i] (row)
@@ -85,6 +87,7 @@ class P1Space:
         loop = mesh.boundary_loop
         self.edge_a = loop
         self.edge_b = np.roll(loop, -1)
+        self._harmonic = None  # see ``harmonic_extension``
 
     @classmethod
     def of(cls, mesh):
@@ -176,12 +179,39 @@ class P1Space:
         mc = (uq * uq + floor * floor) ** ((p - 2.0) / 2.0)
         w = (p - 1.0) * self.qweights * mc  # (n_t, 3)
         local = c1[:, None] * self._gg + c2[:, None] * bgbg + w @ self._qq
+        return self._assemble(local)
+
+    def _assemble(self, local):
+        """Sum the (n_t, 9) local element matrices into the fixed CSC
+        pattern."""
         data = np.bincount(
             self._csc_map, weights=local.ravel(), minlength=self._csc_indices.size
         )
         return sparse.csc_matrix(
             (data, self._csc_indices, self._csc_indptr), shape=(self.n, self.n)
         )
+
+    def harmonic_extension(self, boundary_values):
+        """Discrete harmonic P1 field with the given boundary values.
+
+        ``boundary_values`` holds one row per boundary loop vertex (in
+        loop order) and any number of columns; the result holds one row
+        per vertex. Interior rows solve K_II x_I = -K_IB x_B with the P1
+        stiffness matrix K, so linear fields are reproduced exactly. The
+        interior block is factored on first use and kept on the space.
+        """
+        if self._harmonic is None:
+            K = self._assemble(self.areas[:, None] * self._gg)
+            interior = np.setdiff1d(np.arange(self.n), self.edge_a)
+            K_I = K[interior]
+            lu = splu(K_I[:, interior], permc_spec="MMD_AT_PLUS_A")
+            self._harmonic = (interior, K_I[:, self.edge_a], lu)
+        interior, K_IB, lu = self._harmonic
+        xb = np.asarray(boundary_values, dtype=float)
+        x = np.empty((self.n,) + xb.shape[1:])
+        x[self.edge_a] = xb
+        x[interior] = lu.solve(-(K_IB @ xb))
+        return x
 
     def load_vector(self, cell_values):
         """Nodal load vector of a cellwise-constant boundary flux."""

@@ -148,25 +148,6 @@ class ArclengthChart:
         local = (sm - self.cell_starts[c])[..., None]
         return a + local * t
 
-    def s_of_point(self, x):
-        """Arclength of a point lying on (or near) the boundary polyline.
-
-        The point is projected onto the closest boundary cell; the returned
-        s satisfies ``point(s_of_point(x)) == x`` for points on the loop.
-        """
-        x = np.asarray(x, dtype=float)
-        mesh = self.mesh
-        loop = mesh.boundary_loop
-        a = mesh.vertices[loop]
-        t = mesh.boundary_tangents
-        w = mesh.boundary_weights
-        d = x[None, :] - a
-        along = np.clip(np.einsum("cd,cd->c", d, t), 0.0, w)
-        foot = a + along[:, None] * t
-        dist2 = np.einsum("cd,cd->c", x[None, :] - foot, x[None, :] - foot)
-        c = int(np.argmin(dist2))
-        return float(np.mod(self.cell_starts[c] + along[c], self.length))
-
     def interface_positions(self):
         """Arclengths of the n_b cell interfaces (cell start points)."""
         return self.cell_starts[:-1].copy()

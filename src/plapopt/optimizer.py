@@ -31,7 +31,6 @@ __all__ = [
     "IterationRecord",
     "OptimizeHistory",
     "maximize_over_rearrangements",
-    "evaluate_candidate",
 ]
 
 
@@ -145,10 +144,3 @@ def _run_single(mesh, f, rclass, config, restart, history):
         f = f_next
     return (*result, False)
 
-
-def evaluate_candidate(mesh, f: LoadField, config: OptimizeConfig):
-    """One solve of a candidate load: (J, duality gap, comonotonicity
-    defect against its own trace)."""
-    state, report = solve(mesh, f, config.solver)
-    defect = comonotonicity_defect(f, state.boundary_trace)
-    return report.J, report.duality_gap, defect

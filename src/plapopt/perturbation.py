@@ -9,8 +9,8 @@ which transports a load by pullback, f_t = f o psi_t^{-1}. With
 I(t) = J(f_t), four independent estimates of I'(0) are provided:
 
 * ``deriv_volume_formula``: interior integrals of the base solution
-  against the Jacobian and divergence of a collar extension of the
-  velocity field (analytic on disks),
+  against the Jacobian and divergence of a discrete harmonic extension V
+  of the velocity v(s) tau into the domain (one P1 field, on any mesh),
       (1/(p-1)) { p int_bdry u0 f div_tau V
                   + p int |grad u0|^{p-2} <grad u0, V' grad u0>
                   - int (|grad u0|^p + |u0|^p) div V };
@@ -26,7 +26,6 @@ The orientation sign sigma of the jump form is a fixed configuration
 constant (see JUMP_SIGN below).
 """
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -67,35 +66,20 @@ JUMP_SIGN = -1.0
 MONOTONE_SLACK = 1.1
 
 
-def _smoothstep(x):
-    """Quintic smoothstep: 0 -> 1 on [0, 1] with zero first and second
-    derivatives at both ends."""
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _smoothstep_prime(x):
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
-    return np.where(inside, 30.0 * x * x * (1.0 - x) ** 2, 0.0)
-
-
 @dataclass(frozen=True)
 class TangentField:
     """Periodic tangential speed v(s) on a boundary chart of length
-    ``period``, plus the collar parameters of its interior extension.
+    ``period``.
 
     ``speed`` and ``speed_prime`` are vectorized callables of arclength.
-    The interior extension (used only by the volume derivative formula)
-    lives on a collar of width ``collar_frac`` times the domain radius
-    scale and is cut off by a quintic smoothstep.
+    The volume derivative formula extends v into the domain itself (see
+    ``deriv_volume_formula``).
     """
 
     name: str
     period: float
     speed: callable = dc_field(repr=False)
     speed_prime: callable = dc_field(repr=False)
-    collar_frac: float = 0.3
 
     def __add__(self, other):
         if not isinstance(other, TangentField):
@@ -109,58 +93,10 @@ class TangentField:
             period=self.period,
             speed=lambda s: sa(s) + sb(s),
             speed_prime=lambda s: pa(s) + pb(s),
-            collar_frac=self.collar_frac,
         )
 
-    # -- analytic collar extension on a disk of radius R centered at 0 --
 
-    def _polar(self, xy, R):
-        x, y = xy[..., 0], xy[..., 1]
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        delta = self.collar_frac * R
-        rho = np.clip((R - r) / delta, 0.0, 1.0)
-        A = 1.0 - _smoothstep(rho)          # 1 on the boundary, 0 inside
-        Ar = _smoothstep_prime(rho) / delta  # dA/dr
-        # angle -> chart arclength; exact at the polygon vertices of the
-        # structured disk mesh, O(h^2) within an edge
-        s = self.period * theta / (2.0 * np.pi)
-        w = self.speed(s)
-        wp = self.speed_prime(s) * self.period / (2.0 * np.pi)  # dw/dtheta
-        return r, theta, A, Ar, w, wp
-
-    def disk_velocity(self, xy, R):
-        """V(x) = eta(R-r) v(s(theta)) tau(theta); shape (..., 2)."""
-        xy = np.asarray(xy, dtype=float)
-        r, theta, A, _, w, _ = self._polar(xy, R)
-        out = np.zeros_like(xy)
-        out[..., 0] = -A * w * np.sin(theta)
-        out[..., 1] = A * w * np.cos(theta)
-        return out
-
-    def disk_jacobian(self, xy, R):
-        """Jacobian dV_i/dx_j of the collar extension; shape (..., 2, 2)."""
-        xy = np.asarray(xy, dtype=float)
-        r, theta, A, Ar, w, wp = self._polar(xy, R)
-        sn, cs = np.sin(theta), np.cos(theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Aor = np.where(r > 0, A / r, 0.0)
-        J = np.zeros(xy.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -Ar * w * sn * cs + Aor * sn * (wp * sn + w * cs)
-        J[..., 0, 1] = -Ar * w * sn * sn - Aor * cs * (wp * sn + w * cs)
-        J[..., 1, 0] = Ar * w * cs * cs - Aor * sn * (wp * cs - w * sn)
-        J[..., 1, 1] = Ar * w * cs * sn + Aor * cs * (wp * cs - w * sn)
-        return J
-
-    def disk_divergence(self, xy, R):
-        """div V = (A(r)/r) dw/dtheta for the collar extension."""
-        xy = np.asarray(xy, dtype=float)
-        r, theta, A, _, w, wp = self._polar(xy, R)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r > 0, A / r * wp, 0.0)
-
-
-def tangent_field(spec, period, collar_frac=0.3):
+def tangent_field(spec, period):
     """Build a catalog speed field from a textual spec.
 
     Supported specs: ``constant`` (or ``constant:c``), ``sin:k``,
@@ -347,77 +283,25 @@ def lq_distance(g1: PiecewiseBoundaryFunction, g2: PiecewiseBoundaryFunction, q)
 # ---------------------------------------------------------------------------
 
 
-def _disk_radius(mesh):
-    """Radius of the circumscribed circle if the mesh boundary is a
-    centered regular polygon, else None."""
-    pts = mesh.vertices[mesh.boundary_loop]
-    center = pts.mean(axis=0)
-    radii = np.hypot(*(pts - center).T)
-    R = radii.mean()
-    if np.max(np.abs(radii - R)) < 1e-9 * R and np.max(np.abs(center)) < 1e-9 * R:
-        return float(R)
-    return None
-
-
-def _nearest_point_extension(mesh, chart, field, points):
-    """Fallback collar extension for non-disk domains: nearest boundary
-    point projection with a numeric Jacobian. Discontinuous across corner
-    bisectors; adequate away from corners only."""
-    delta = field.collar_frac * chart.length / (2.0 * np.pi)
-    loop = mesh.boundary_loop
-    a = mesh.vertices[loop]
-    tang = mesh.boundary_tangents
-    w = mesh.boundary_weights
-
-    def velocity(pts):
-        d = pts[:, None, :] - a[None, :, :]
-        along = np.clip(np.einsum("pcd,cd->pc", d, tang), 0.0, w[None, :])
-        foot = a[None, :, :] + along[..., None] * tang[None, :, :]
-        dist2 = np.sum((pts[:, None, :] - foot) ** 2, axis=-1)
-        c = np.argmin(dist2, axis=1)
-        rows = np.arange(pts.shape[0])
-        s = chart.cell_starts[c] + along[rows, c]
-        dist = np.sqrt(dist2[rows, c])
-        eta = 1.0 - _smoothstep(np.clip(dist / delta, 0.0, 1.0))
-        return (eta * field.speed(s))[:, None] * tang[c]
-
-    V = velocity(points)
-    h = 1e-6 * chart.length
-    Jac = np.zeros(points.shape[:1] + (2, 2))
-    for j in range(2):
-        dp = np.zeros_like(points)
-        dp[:, j] = h
-        Jac[:, :, j] = (velocity(points + dp) - velocity(points - dp)) / (2.0 * h)
-    return V, Jac
-
-
 def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField):
     """Volume-integral estimate of I'(0) (see the module docstring).
 
-    On a centered disk mesh the collar extension, its Jacobian and its
-    divergence are analytic. Other domains fall back to a nearest-point
-    extension with a numeric Jacobian and a warning.
+    The velocity V is the discrete harmonic P1 field equal to v(s) tau at
+    the boundary vertices, where tau at a loop vertex is the normalized
+    mean of the tangents of its two cells. Its Jacobian and divergence
+    are exact and constant per triangle, on every mesh.
     """
     p = u0.p
     space = P1Space.of(mesh)
     chart = mesh.chart()
     u = u0.nodal_values
 
-    qp = space.qpoints.reshape(-1, 2)
-    R = _disk_radius(mesh)
-    if R is not None:
-        Jac = field.disk_jacobian(qp, R)
-        divV = field.disk_divergence(qp, R)
-    else:
-        warnings.warn(
-            "non-disk domain: using nearest-point velocity extension with "
-            "numeric Jacobian for the volume derivative formula"
-        )
-        _, Jac = _nearest_point_extension(mesh, chart, field, qp)
-        divV = np.trace(Jac, axis1=1, axis2=2)
-    n_t = mesh.n_triangles
-    Jac = Jac.reshape(n_t, 3, 2, 2)
-    divV = divV.reshape(n_t, 3)
+    tang = mesh.boundary_tangents
+    tau = tang + np.roll(tang, 1, axis=0)  # cells c-1 and c meet at vertex c
+    tau /= np.linalg.norm(tau, axis=1)[:, None]
+    V = space.harmonic_extension(field.speed(chart.interface_positions())[:, None] * tau)
+    Jac = np.einsum("tid,tie->tde", V[space.triangles], space.grads)  # dV_d/dx_e
+    divV = np.trace(Jac, axis1=1, axis2=2)
 
     g = space.gradient(u)  # (n_t, 2), constant per triangle
     g2 = np.einsum("td,td->t", g, g)
@@ -425,12 +309,12 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     with np.errstate(divide="ignore"):
         gpm2 = np.where(g2 > 0.0, g2 ** ((p - 2.0) / 2.0), 0.0)
     # int |grad u|^{p-2} <grad u, V' grad u>
-    quad_form = np.einsum("td,tqde,te->tq", g, Jac, g)
-    t2 = float(np.sum(space.qweights * gpm2[:, None] * quad_form))
+    quad_form = np.einsum("td,tde,te->t", g, Jac, g)
+    t2 = float(space.areas @ (gpm2 * quad_form))
     # int (|grad u|^p + |u|^p) div V
     uq = space.values_at_qp(u)
-    dens = (g2 ** (p / 2.0))[:, None] + np.abs(uq) ** p
-    t3 = float(np.sum(space.qweights * dens * divV))
+    dens = space.areas * g2 ** (p / 2.0) + np.sum(space.qweights * np.abs(uq) ** p, axis=1)
+    t3 = float(dens @ divV)
     # boundary term: int u0 f div_tau V ds, div_tau V = v'(s) on the chart
     sg = space.boundary_gauss_points(chart)
     ug = space.trace_at_gauss(u)

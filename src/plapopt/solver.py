@@ -43,6 +43,12 @@ __all__ = [
 
 P_MIN, P_MAX = 1.1, 10.0
 
+# Backtracking line search: a step must decrease the energy by ARMIJO
+# times its predicted first-order decrease; each rejection scales the
+# step by LINE_SEARCH_SHRINK.
+ARMIJO = 1e-4
+LINE_SEARCH_SHRINK = 0.5
+
 
 class SolverError(RuntimeError):
     """Newton continuation failed to reach the requested tolerance."""
@@ -62,8 +68,6 @@ class SolveConfig:
     eps_factor: float = 0.1
     newton_tol: float = 1e-10
     max_newton_iters: int = 60
-    line_search_shrink: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if not P_MIN <= self.p <= P_MAX:
@@ -74,8 +78,6 @@ class SolveConfig:
             raise ValueError("need 0 < eps_factor < 1")
         if self.newton_tol <= 0 or self.max_newton_iters < 1:
             raise ValueError("invalid Newton parameters")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise ValueError("need 0 < line_search_shrink < 1")
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,9 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
         for _ in range(80):
             u_try = u + alpha * d
             E_try = space.energy(u_try, b, p, eps)
-            if np.isfinite(E_try) and E_try <= E + cfg.armijo * alpha * slope + slack:
+            if np.isfinite(E_try) and E_try <= E + ARMIJO * alpha * slope + slack:
                 break
-            alpha *= cfg.line_search_shrink
+            alpha *= LINE_SEARCH_SHRINK
         else:
             # Energy cannot decrease along d within machine steps.
             return u, it + 1, fallbacks, rnorm, "stall"

@@ -68,3 +68,6 @@ class TestAcceptanceCriteria:
 
     def test_criterion_10_flow_fidelity(self):
         assert _run(10).passed
+
+    def test_criterion_11_square_agreement(self):
+        assert _run(11).passed

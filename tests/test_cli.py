@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from plapopt.fileio import (
     write_mesh,
 )
 from plapopt.geometry import validate_mesh
-from plapopt.rearrangement import binary_load
+from plapopt.rearrangement import binary_load, step_load
 
 
 @pytest.fixture()
@@ -130,6 +131,17 @@ class TestDerivativeCommand:
             rep = json.load(fh)
         assert set(rep["estimates"]) == {"volume", "surfdiv", "bvjump", "findiff"}
         assert os.path.exists("d-agreement.csv")
+
+    def test_square_mesh_agreement(self, workdir):
+        assert main(["mesh", "--shape", "square", "--n", "32", "--out", "sq.txt"]) == EXIT_OK
+        write_load("f.txt", step_load(read_mesh("sq.txt"), acceptance.STEP_LEVELS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["derivative", "--mesh", "sq.txt", "--load", "f.txt",
+                       "--p", "2.0", "--field", "sin:1", "--out", "d.json"])
+        assert rc == EXIT_OK
+        with open("d.json") as fh:
+            assert json.load(fh)["max_discrepancy"] <= 1e-2
 
     def test_bad_field_spec(self, workdir, mesh_file, load_file):
         rc = main(["derivative", "--mesh", str(mesh_file), "--load", str(load_file),

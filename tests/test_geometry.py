@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from plapopt.geometry import (
-    ArclengthChart,
     DomainMesh,
     build_disk_mesh,
     build_square_mesh,
@@ -111,14 +110,6 @@ class TestValidateMesh:
 
 
 class TestArclengthChart:
-    def test_midpoint_roundtrip(self):
-        mesh = build_disk_mesh(1.0, 32, 4)
-        chart = ArclengthChart(mesh)
-        for c in range(mesh.n_boundary_cells):
-            mid = mesh.boundary_midpoints[c]
-            s = chart.s_of_point(mid)
-            assert np.max(np.abs(chart.point(s) - mid)) < 1e-12
-
     def test_periodicity(self):
         chart = build_disk_mesh(1.0, 16, 3).chart()
         s = np.array([0.3, 1.7, 4.2])

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from plapopt.acceptance import STEP_LEVELS
+from plapopt.fem import P1Space
 from plapopt.geometry import build_disk_mesh, build_square_mesh
 from plapopt.perturbation import (
     FlowMap,
@@ -236,11 +239,13 @@ class TestDerivativeFormulas:
         assert abs(deriv_finite_difference(disk_fine, f, fld, cfg, 1e-3)) <= tol
 
     def test_rotation_null_p15_tracked_magnitude(self, disk_fine):
-        # For p < 2 the null defect is dominated by the trace error at the
-        # load jumps (singular operator) and decays only ~h^1.1: measured
-        # 4.8e-3 at 128 cells, 2.1e-3 at 256, 9.8e-4 at 512. Track the
-        # 128-cell magnitude so a regression (e.g. sign/orientation bug,
-        # which would produce O(1) values) is caught.
+        # For p < 2 the volume route still vanishes exactly (its extension
+        # is the rotation itself), but the surface-divergence and jump
+        # routes carry the trace error at the load jumps (singular
+        # operator), which decays only ~h^1.1: measured 4.8e-3 at 128
+        # cells, 2.1e-3 at 256, 9.8e-4 at 512. Track the 128-cell
+        # magnitude so a regression (e.g. sign/orientation bug, which
+        # would produce O(1) values) is caught.
         f = step_load(disk_fine, [1.0, -0.5, 0.25, 0.0])
         cfg = SolveConfig(p=1.5)
         u0, rep = solve(disk_fine, f, cfg)
@@ -264,14 +269,19 @@ class TestDerivativeFormulas:
         assert dj == pytest.approx(dfd, rel=1e-2)
         assert abs(-dj - dfd) > abs(dj - dfd)  # flipped sign is worse
 
-    def test_square_mesh_falls_back_with_warning(self):
-        mesh = build_square_mesh(1.0, 8)
-        f = step_load(mesh, [1.0, 0.0])
-        u0, _ = solve(mesh, f, SolveConfig(p=2.0))
+    def test_square_volume_matches_finite_difference(self):
+        # one extension serves every mesh, corners included, and warns of
+        # nothing
+        mesh = build_square_mesh(1.0, 32)
+        f = step_load(mesh, STEP_LEVELS)
+        cfg = SolveConfig(p=2.0)
+        u0, _ = solve(mesh, f, cfg)
         fld = tangent_field("sin:1", mesh.total_boundary_length)
-        with pytest.warns(UserWarning, match="nearest-point"):
-            val = deriv_volume_formula(mesh, u0, f, fld)
-        assert np.isfinite(val)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vol = deriv_volume_formula(mesh, u0, f, fld)
+            fd = deriv_finite_difference(mesh, f, fld, cfg, 1e-3)
+        assert vol == pytest.approx(fd, rel=1e-2)
 
 
 class TestUnconvergedSolves:
@@ -348,38 +358,32 @@ class TestTangentFieldSpecs:
         fd = (fld.speed(mid + h) - fld.speed(mid - h)) / (2 * h)
         assert np.allclose(fld.speed_prime(mid), fd, atol=1e-6)
 
-    def test_disk_jacobian_matches_numeric(self):
-        fld = tangent_field("sin:2", L2PI)
-        rng = np.random.default_rng(0)
-        pts = []
-        while len(pts) < 20:
-            x = rng.uniform(-1, 1, 2)
-            if 0.72 < np.hypot(*x) < 0.999:
-                pts.append(x)
-        pts = np.array(pts)
-        J = fld.disk_jacobian(pts, 1.0)
-        h = 1e-6
-        for j in range(2):
-            dp = np.zeros_like(pts)
-            dp[:, j] = h
-            num = (fld.disk_velocity(pts + dp, 1.0) - fld.disk_velocity(pts - dp, 1.0)) / (2 * h)
-            assert np.max(np.abs(J[:, :, j] - num)) < 1e-8
-        div = fld.disk_divergence(pts, 1.0)
-        assert np.max(np.abs(div - np.trace(J, axis1=1, axis2=2))) < 1e-13
 
-    def test_extension_vanishes_inside_collar(self):
-        fld = tangent_field("sin:1", L2PI, collar_frac=0.3)
-        pts = np.array([[0.0, 0.0], [0.3, 0.2], [0.5, 0.0]])
-        assert np.all(fld.disk_velocity(pts, 1.0) == 0.0)
-        assert np.all(fld.disk_jacobian(pts, 1.0) == 0.0)
+class TestHarmonicExtension:
+    def test_boundary_rows_returned_exactly(self, disk):
+        space = P1Space.of(disk)
+        rng = np.random.default_rng(5)
+        xb = rng.normal(size=(disk.n_boundary_cells, 2))
+        V = space.harmonic_extension(xb)
+        assert V.shape == (disk.n_vertices, 2)
+        assert np.array_equal(V[disk.boundary_loop], xb)
 
-    def test_boundary_trace_is_tangential_speed(self):
-        fld = tangent_field("cos:1", L2PI)
-        theta = np.linspace(0, 2 * np.pi, 9, endpoint=False)
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        V = fld.disk_velocity(pts, 1.0)
-        tau = np.column_stack([-np.sin(theta), np.cos(theta)])
-        expected = fld.speed(theta)[:, None] * tau  # chart s = theta here
-        assert np.allclose(V, expected, atol=1e-12)
-        # tangential: no normal component
-        assert np.max(np.abs(np.einsum("pd,pd->p", V, pts))) < 1e-12
+    def test_rotation_extends_to_rotation(self, disk_fine):
+        # the constant field's boundary velocity on the unit disk is
+        # (-y, x), a linear field, which the discrete extension reproduces
+        fld = tangent_field("constant", disk_fine.total_boundary_length)
+        tang = disk_fine.boundary_tangents
+        tau = tang + np.roll(tang, 1, axis=0)
+        tau /= np.linalg.norm(tau, axis=1)[:, None]
+        s = disk_fine.chart().interface_positions()
+        V = P1Space.of(disk_fine).harmonic_extension(fld.speed(s)[:, None] * tau)
+        x, y = disk_fine.vertices.T
+        assert np.max(np.abs(V - np.column_stack([-y, x]))) <= 1e-12
+
+    def test_rotation_null_volume_p15(self, disk_fine):
+        # the extension is the exact rotation, so the volume route vanishes
+        # below p = 2 too, where the other routes carry the trace error
+        f = step_load(disk_fine, STEP_LEVELS)
+        u0, _ = solve(disk_fine, f, SolveConfig(p=1.5))
+        fld = tangent_field("constant", disk_fine.total_boundary_length)
+        assert abs(deriv_volume_formula(disk_fine, u0, f, fld)) <= 1e-12
