@@ -102,10 +102,14 @@ def _default_out(value, fallback):
     return os.path.join(env, fallback) if env else fallback
 
 
-def _load_mesh(path):
+def _existing(path, key):
     if not os.path.exists(path):
-        raise ConfigError(f"mesh path {path!r} does not exist")
-    mesh = read_mesh(path)
+        raise ConfigError(f"{key} path {path!r} does not exist")
+    return path
+
+
+def _load_mesh(path):
+    mesh = read_mesh(_existing(path, "mesh"))
     report = validate_mesh(mesh)
     if not report.ok:
         raise ConfigError(f"mesh {path!r} is invalid: {report.violations[0]}")
@@ -144,7 +148,7 @@ def cmd_mesh(args):
 def cmd_solve(args):
     config = SolveConfig(p=float(args.p), eps_final=float(args.eps_final))
     mesh = _load_mesh(args.mesh)
-    f = read_load(args.load, mesh)
+    f = read_load(_existing(args.load, "load"), mesh)
     out = _default_out(args.out, "solve.json")
     state, rep = solve(mesh, f, config)
     payload = {
@@ -176,7 +180,7 @@ def cmd_optimize(args):
         max_outer_iters=int(args.max_iters),
     )
     mesh = _load_mesh(args.mesh)
-    f0 = read_load(args.load0, mesh)
+    f0 = read_load(_existing(args.load0, "load0"), mesh)
     out_dir = _default_out(args.out, "optimize-out")
     os.makedirs(out_dir, exist_ok=True)
     fhat, uhat, hist = maximize_over_rearrangements(mesh, f0, config)
@@ -208,7 +212,7 @@ def cmd_optimize(args):
 def cmd_derivative(args):
     config = SolveConfig(p=float(args.p))
     mesh = _load_mesh(args.mesh)
-    f = read_load(args.load, mesh)
+    f = read_load(_existing(args.load, "load"), mesh)
     out = _default_out(args.out, "derivative.json")
     field = tangent_field(args.field, mesh.total_boundary_length)
     rep = derivative_report(mesh, f, field, config, t=float(args.t))

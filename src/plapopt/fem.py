@@ -36,9 +36,14 @@ TRI_QW = np.array([1 / 3, 1 / 3, 1 / 3])
 EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_QW = np.array([0.5, 0.5])
 
-# |u| is floored at this fraction of rms(u) in the Hessian's mass
-# coefficient (see ``P1Space.hessian``).
-MASS_FLOOR_FRAC = 1e-2
+
+def _power(s, e):
+    """s**e where s > 0 and 0 where s = 0, for s >= 0.
+
+    s = |grad u|^2 + eps^2 or u^2 + eps^2 is 0 only where eps = 0 and the
+    gradient or the value vanishes. The residual multiplies s**e by that
+    vanishing factor, so 0 is the correct limit even where e < 0."""
+    return np.power(s, e, out=np.zeros_like(s), where=s > 0.0)
 
 
 class P1Space:
@@ -107,38 +112,32 @@ class P1Space:
         """u at the volume quadrature points; (n_t, 3)."""
         return u[self.triangles] @ TRI_QP.T
 
-    def integrate_lp(self, u, p):
-        """(integral of |grad u|^p, integral of |u|^p) over the domain."""
+    def integrate_lp(self, u, p, eps=0.0):
+        """(integral of (|grad u|^2 + eps^2)^{p/2}, integral of
+        (u^2 + eps^2)^{p/2}) over the domain; eps = 0 gives the integrals
+        of |grad u|^p and |u|^p."""
+        e2 = eps * eps
         g = self.gradient(u)
         g2 = np.einsum("td,td->t", g, g)
-        grad_term = float(self.areas @ g2 ** (p / 2.0))
+        grad_term = float(self.areas @ (g2 + e2) ** (p / 2.0))
         uq = self.values_at_qp(u)
-        mass_term = float(np.sum(self.qweights * np.abs(uq) ** p))
+        mass_term = float(np.sum(self.qweights * (uq * uq + e2) ** (p / 2.0)))
         return grad_term, mass_term
 
     def energy(self, u, b, p, eps):
-        """(1/p) int (|grad u|^2 + eps^2)^{p/2} + |u|^p dx - b.u"""
-        g = self.gradient(u)
-        g2 = np.einsum("td,td->t", g, g)
-        grad_term = float(self.areas @ (g2 + eps * eps) ** (p / 2.0))
-        uq = self.values_at_qp(u)
-        mass_term = float(np.sum(self.qweights * np.abs(uq) ** p))
+        """(1/p) int (|grad u|^2 + eps^2)^{p/2} + (u^2 + eps^2)^{p/2} dx - b.u"""
+        grad_term, mass_term = self.integrate_lp(u, p, eps)
         return (grad_term + mass_term) / p - float(b @ u)
 
     def residual(self, u, b, p, eps):
         """Gradient of ``energy`` with respect to the nodal values."""
+        e2 = eps * eps
         g = self.gradient(u)
-        g2 = np.einsum("td,td->t", g, g)
-        s = g2 + eps * eps
-        # coef * g -> |g|^{p-1} -> 0 where s = 0, so the zero branch is the
-        # correct limit even for p < 2 where the bare power diverges
-        with np.errstate(divide="ignore"):
-            coef = np.where(s > 0.0, s ** ((p - 2.0) / 2.0), 0.0)
+        coef = _power(np.einsum("td,td->t", g, g) + e2, (p - 2.0) / 2.0)
         # (n_t, 3): d/du_i of the gradient part on each triangle
         flux = np.einsum("t,tid,td->ti", self.areas * coef, self.grads, g)
         uq = self.values_at_qp(u)
-        # |u|^{p-2} u written as sign(u)|u|^{p-1}, finite at u = 0 for p > 1
-        mass = np.sign(uq) * np.abs(uq) ** (p - 1.0) * self.qweights
+        mass = self.qweights * uq * _power(uq * uq + e2, (p - 2.0) / 2.0)
         local = flux + mass @ TRI_QP
         r = np.bincount(
             self.triangles.ravel(), weights=local.ravel(), minlength=self.n
@@ -146,38 +145,20 @@ class P1Space:
         return r - b
 
     def hessian(self, u, p, eps):
-        """Sparse Hessian of ``energy``; SPD for 1 < p and eps > 0.
-
-        The mass coefficient (p-1)|u|^{p-2} is evaluated with |u| floored
-        at MASS_FLOOR_FRAC * rms(u): the exact coefficient blows up at
-        u = 0 for p < 2 (stalling Newton with tiny damped steps near zero
-        crossings) and vanishes there for p > 2 (making the matrix
-        singular). The floor scales with u, so wherever |u| is not near
-        zero the coefficient is exact to a relative (floor/|u|)^2 and
-        Newton converges quadratically; a floor tied to eps (a
-        regularization of the gradient, not a scale of u) can exceed |u|
-        on the whole domain, underestimate the mass curvature everywhere
-        and leave every step damped. Only u = 0, the first step of a cold
-        start, has no scale of its own; there the floor is eps. The energy
-        and residual are untouched, so only the Newton direction is
-        affected; the line search on the exact energy keeps the iteration
-        globally convergent.
-        """
+        """Sparse Hessian of ``energy``; exact, and SPD for 1 < p and
+        eps > 0."""
+        e2 = eps * eps
         g = self.gradient(u)
-        g2 = np.einsum("td,td->t", g, g)
-        s = g2 + eps * eps
-        with np.errstate(divide="ignore"):
-            c1 = self.areas * np.where(s > 0.0, s ** ((p - 2.0) / 2.0), 0.0)
-            c2 = self.areas * (p - 2.0) * np.where(
-                s > 0.0, s ** ((p - 4.0) / 2.0), 0.0
-            )
+        s = np.einsum("td,td->t", g, g) + e2
+        c1 = self.areas * _power(s, (p - 2.0) / 2.0)
+        c2 = self.areas * (p - 2.0) * _power(s, (p - 4.0) / 2.0)
         bg = np.einsum("tid,td->ti", self.grads, g)  # (n_t, 3)
         bgbg = (bg[:, :, None] * bg[:, None, :]).reshape(-1, 9)
         uq = self.values_at_qp(u)
-        rms = float(np.sqrt(np.mean(uq * uq)))
-        floor = MASS_FLOOR_FRAC * rms if rms > 0.0 else eps
-        mc = (uq * uq + floor * floor) ** ((p - 2.0) / 2.0)
-        w = (p - 1.0) * self.qweights * mc  # (n_t, 3)
+        u2 = uq * uq
+        # (u^2 + eps^2)^{(p-4)/2} ((p-1) u^2 + eps^2), the derivative of the
+        # residual's mass term u (u^2 + eps^2)^{(p-2)/2}
+        w = self.qweights * _power(u2 + e2, (p - 4.0) / 2.0) * ((p - 1.0) * u2 + e2)
         local = c1[:, None] * self._gg + c2[:, None] * bgbg + w @ self._qq
         return self._assemble(local)
 

@@ -33,20 +33,21 @@ __all__ = [
     "maximize_over_rearrangements",
 ]
 
+# A restart stops when J changes by less than J_TOL (1 + |J|) between
+# iterates.
+J_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OptimizeConfig:
     solver: SolveConfig
     max_outer_iters: int = 50
-    J_tol: float = 1e-9
     n_restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.J_tol <= 0:
-            raise ValueError("J_tol must be positive")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
 
@@ -134,7 +135,7 @@ def _run_single(mesh, f, rclass, config, restart, history):
         result = (f, state, J)
         if not changed:
             return f, state, J, True  # exact fixed point
-        if J_prev is not None and abs(J - J_prev) < config.J_tol * (1.0 + abs(J)):
+        if J_prev is not None and abs(J - J_prev) < J_TOL * (1.0 + abs(J)):
             return f, state, J, False
         key = tuple(f_next.cell_values)
         if key in seen:

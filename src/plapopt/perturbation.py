@@ -365,7 +365,7 @@ def deriv_bvjump_formula(mesh, u0: StateField, f: LoadField, field: TangentField
 
 
 def _converged_solve(mesh, f, config, u_init, what):
-    """``solve``, raising SolverError if the residual missed newton_tol."""
+    """``solve``, raising SolverError if the residual missed NEWTON_TOL."""
     state, rep = solve(mesh, f, config, u_init)
     if not rep.converged:
         raise SolverError(f"{what} stalled at residual {rep.final_residual:.3e}")

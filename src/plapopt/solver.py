@@ -2,16 +2,20 @@
 
 The boundary value problem
 
-    -div((|grad u|^2 + eps^2)^{(p-2)/2} grad u) + |u|^{p-2} u = 0  in the domain,
-    (|grad u|^2 + eps^2)^{(p-2)/2} du/dnu = f                      on the boundary,
+    -div((|grad u|^2 + eps^2)^{(p-2)/2} grad u) + (u^2 + eps^2)^{(p-2)/2} u = 0
+                                                           in the domain,
+    (|grad u|^2 + eps^2)^{(p-2)/2} du/dnu = f             on the boundary,
 
 is the Euler-Lagrange equation of
 
-    E_eps(u) = (1/p) int (|grad u|^2 + eps^2)^{p/2} + |u|^p dx - int_bdry f u ds,
+    E_eps(u) = (1/p) int (|grad u|^2 + eps^2)^{p/2} + (u^2 + eps^2)^{p/2} dx
+               - int_bdry f u ds,
 
 which is minimized with damped Newton iterations inside a geometric
-continuation loop driving eps from eps_initial to eps_final with warm
-starts. The limit eps -> 0 recovers the p-Laplacian problem.
+continuation loop driving eps from EPS_INITIAL to eps_final by factors of
+EPS_FACTOR with warm starts. eps regularizes both terms alike, so the
+energy is smooth and its Hessian exact and SPD for every eps > 0. The
+limit eps -> 0 recovers the p-Laplacian problem.
 
 The boundary functional J(f) = int f u_f ds equals, at the solution, the
 supremum of
@@ -49,6 +53,14 @@ P_MIN, P_MAX = 1.1, 10.0
 ARMIJO = 1e-4
 LINE_SEARCH_SHRINK = 0.5
 
+# Continuation: eps starts at EPS_INITIAL and shrinks by EPS_FACTOR per
+# stage down to SolveConfig.eps_final. Each stage runs Newton until the
+# residual norm is at most NEWTON_TOL, for at most MAX_NEWTON_ITERS steps.
+EPS_INITIAL = 1e-1
+EPS_FACTOR = 0.1
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 60
+
 
 class SolverError(RuntimeError):
     """Newton continuation failed to reach the requested tolerance."""
@@ -56,28 +68,20 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Continuation and Newton parameters.
+    """The exponent p and the regularization eps_final of the last stage.
 
     p is clamped to [1.1, 10]; outside that range the Hessian conditioning
     makes the plain Newton scheme unreliable at this scale.
     """
 
     p: float
-    eps_initial: float = 1e-1
     eps_final: float = 1e-8
-    eps_factor: float = 0.1
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 60
 
     def __post_init__(self):
         if not P_MIN <= self.p <= P_MAX:
             raise ValueError(f"p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
-        if not 0.0 < self.eps_final <= self.eps_initial:
-            raise ValueError("need 0 < eps_final <= eps_initial")
-        if not 0.0 < self.eps_factor < 1.0:
-            raise ValueError("need 0 < eps_factor < 1")
-        if self.newton_tol <= 0 or self.max_newton_iters < 1:
-            raise ValueError("invalid Newton parameters")
+        if not 0.0 < self.eps_final <= EPS_INITIAL:
+            raise ValueError(f"need 0 < eps_final <= {EPS_INITIAL}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class SolveReport:
     final_residual: float
     iterations_per_stage: list
     eps_stages: list
-    # why each stage stopped: "converged", "cap" (max_newton_iters reached)
+    # why each stage stopped: "converged", "cap" (MAX_NEWTON_ITERS reached)
     # or "stall" (the line search found no acceptable step)
     stage_exits: list
     energy_history: list = field(repr=False)  # one descent list per stage
@@ -161,7 +165,7 @@ def residual(mesh, u, f, p, eps):
     return P1Space.of(mesh).residual(_nodal(u), _load_vector(mesh, f), p, eps)
 
 
-def _newton_stage(space, u, b, p, eps, cfg, energies):
+def _newton_stage(space, u, b, p, eps, energies):
     """Damped Newton at fixed eps.
 
     Returns (u, iterations, fallbacks, residual_norm, reason), where
@@ -171,8 +175,8 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
     rnorm = np.linalg.norm(r)
     E = space.energy(u, b, p, eps)
     energies.append(E)
-    for it in range(cfg.max_newton_iters):
-        if rnorm <= cfg.newton_tol:
+    for it in range(MAX_NEWTON_ITERS):
+        if rnorm <= NEWTON_TOL:
             return u, it, fallbacks, rnorm, "converged"
         H = space.hessian(u, p, eps)
         with np.errstate(all="ignore"):
@@ -199,8 +203,8 @@ def _newton_stage(space, u, b, p, eps, cfg, energies):
         energies.append(E)
         r = space.residual(u, b, p, eps)
         rnorm = np.linalg.norm(r)
-    reason = "converged" if rnorm <= cfg.newton_tol else "cap"
-    return u, cfg.max_newton_iters, fallbacks, rnorm, reason
+    reason = "converged" if rnorm <= NEWTON_TOL else "cap"
+    return u, MAX_NEWTON_ITERS, fallbacks, rnorm, reason
 
 
 def solve(mesh, f, config: SolveConfig, u_init=None):
@@ -211,7 +215,7 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
 
     Returns (StateField, SolveReport). The report carries the functionals
     J and I and their gap; ``converged`` means the residual norm at
-    eps_final dropped below newton_tol. On non-convergence the partial
+    eps_final dropped below NEWTON_TOL. On non-convergence the partial
     state is still returned.
     """
     space = P1Space.of(mesh)
@@ -219,11 +223,11 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     u = np.zeros(space.n) if u_init is None else np.array(u_init, dtype=float)
     eps_list, iters, exits, history = [], [], [], []
     fallbacks = 0
-    eps = config.eps_initial
+    eps = EPS_INITIAL
     while True:
         energies = []
         u, it, fb, rnorm, reason = _newton_stage(
-            space, u, b, config.p, eps, config, energies
+            space, u, b, config.p, eps, energies
         )
         eps_list.append(eps)
         iters.append(it)
@@ -232,12 +236,12 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
         fallbacks += fb
         if eps <= config.eps_final:
             break
-        eps = max(eps * config.eps_factor, config.eps_final)
+        eps = max(eps * EPS_FACTOR, config.eps_final)
     state = StateField(u, space.trace_average(u), config.p, config.eps_final)
     J = float(b @ u)
     I = _dual_I(space, u, J, config.p)
     report = SolveReport(
-        converged=bool(rnorm <= config.newton_tol),
+        converged=bool(rnorm <= NEWTON_TOL),
         final_residual=float(rnorm),
         iterations_per_stage=iters,
         eps_stages=eps_list,

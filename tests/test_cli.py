@@ -84,6 +84,20 @@ class TestSolveCommand:
                    "--p", "2.0", "--out", "s.json"])
         assert rc == EXIT_CONFIG
 
+    def test_missing_load_is_config_error(self, workdir, mesh_file, capsys):
+        for command, load_flag, extra in (
+            ("solve", "--load", []),
+            ("optimize", "--load0", []),
+            ("derivative", "--load", ["--field", "sin:1"]),
+        ):
+            rc = main([command, "--mesh", str(mesh_file), load_flag, "nope.txt",
+                       "--p", "2.0", "--out", "out", *extra])
+            assert rc == EXIT_CONFIG
+            assert f"{load_flag[2:]} path 'nope.txt' does not exist" in (
+                capsys.readouterr().err
+            )
+            assert not os.path.exists("out")
+
     def test_bad_p_is_config_error(self, workdir, mesh_file, load_file):
         for command, load_flag, extra in (
             ("solve", "--load", []),

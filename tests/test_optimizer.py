@@ -104,6 +104,4 @@ class TestOptimizeConfig:
         with pytest.raises(ValueError):
             OptimizeConfig(solver=SolveConfig(p=2.0), max_outer_iters=0)
         with pytest.raises(ValueError):
-            OptimizeConfig(solver=SolveConfig(p=2.0), J_tol=0.0)
-        with pytest.raises(ValueError):
             OptimizeConfig(solver=SolveConfig(p=2.0), n_restarts=0)

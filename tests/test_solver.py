@@ -3,13 +3,16 @@ import pytest
 from scipy import sparse
 from scipy.special import iv
 
-from plapopt import fem
+from plapopt import fem, solver
 from plapopt.acceptance import STEP_LEVELS
-from plapopt.fem import MASS_FLOOR_FRAC, TRI_QP, P1Space
+from plapopt.fem import TRI_QP, P1Space
 from plapopt.geometry import build_disk_mesh, triangle_signed_areas
 from plapopt.perturbation import derivative_report, tangent_field
 from plapopt.rearrangement import LoadField, random_step_load, step_load
 from plapopt.solver import (
+    EPS_INITIAL,
+    MAX_NEWTON_ITERS,
+    NEWTON_TOL,
     SolveConfig,
     StateField,
     energy,
@@ -20,6 +23,15 @@ from plapopt.solver import (
 )
 
 from oracles import radial_trace
+
+
+# At p = 1.1 and load scale 1e3 |u| reaches 2e29, and one rounding of u
+# moves the residual norm by about 4e-10: the absolute NEWTON_TOL is then
+# met only by rounding luck, although the relative duality gap is 3e-15.
+ABSOLUTE_STOP_FLOOR = pytest.mark.xfail(
+    reason="NEWTON_TOL is below the residual's rounding floor; "
+           "needs a scale-aware stop"
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +61,9 @@ class TestEnergy:
     def test_pure_regularization_term(self, disk, disk_area):
         u = np.zeros(disk.n_vertices)
         f = LoadField.constant(disk, 0.0)
+        # eps regularizes the gradient and the mass term alike
         assert energy(disk, u, f, p=2.0, eps=0.1) == pytest.approx(
-            0.5 * 0.01 * disk_area, rel=1e-12
+            0.5 * (0.01 + 0.01) * disk_area, rel=1e-12
         )
 
     def test_mesh_mismatch_rejected(self, disk):
@@ -78,7 +91,7 @@ class TestResidual:
         cfg = SolveConfig(p=3.0)
         u, rep = solve(disk, f, cfg)
         r = residual(disk, u, f, p=3.0, eps=cfg.eps_final)
-        assert np.linalg.norm(r) <= cfg.newton_tol
+        assert np.linalg.norm(r) <= NEWTON_TOL
 
     def test_matches_energy_finite_difference(self, disk):
         # central difference of the energy in random nodal directions
@@ -97,7 +110,7 @@ class TestResidual:
 
 def coo_reference_hessian(space, u, p, eps):
     """Plain element-by-element COO assembly of ``P1Space.hessian``,
-    floored mass coefficient included."""
+    with the exact mass coefficient (u^2+eps^2)^{(p-4)/2}((p-1)u^2+eps^2)."""
     g = space.gradient(u)
     s = np.einsum("td,td->t", g, g) + eps * eps
     c1 = space.areas * s ** ((p - 2.0) / 2.0)
@@ -106,9 +119,8 @@ def coo_reference_hessian(space, u, p, eps):
     local = c1[:, None, None] * np.einsum("tid,tjd->tij", space.grads, space.grads)
     local += c2[:, None, None] * np.einsum("ti,tj->tij", bg, bg)
     uq = space.values_at_qp(u)
-    rms = float(np.sqrt(np.mean(uq * uq)))
-    floor = MASS_FLOOR_FRAC * rms if rms > 0.0 else eps
-    w = (p - 1.0) * space.qweights * (uq * uq + floor * floor) ** ((p - 2.0) / 2.0)
+    m = uq * uq + eps * eps
+    w = space.qweights * m ** ((p - 4.0) / 2.0) * ((p - 1.0) * uq * uq + eps * eps)
     local += np.einsum("tq,qi,qj->tij", w, TRI_QP, TRI_QP)
     rows = np.repeat(space.triangles, 3, axis=1).ravel()
     cols = np.tile(space.triangles, (1, 3)).ravel()
@@ -134,27 +146,32 @@ class TestHessian:
         H = P1Space.of(disk).hessian(u, p, 0.01)
         assert abs(H - H.T).max() <= 1e-15 * abs(H).max()
 
-    def test_matches_residual_finite_difference_p2(self, disk):
-        # at p = 2 the floored mass coefficient (p-1)(u^2+floor^2)^0 is
-        # exactly p - 1, so H is the exact Jacobian of the residual
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_residual_finite_difference(self, disk, p, eps):
+        # H is the exact Jacobian of the residual, also where u changes
+        # sign (a floored mass coefficient misses it there by 4e-3 at
+        # p = 1.5); at p = 2 the residual is linear in u, so only
+        # rounding remains
         rng = np.random.default_rng(13)
         u = 0.5 * rng.normal(size=disk.n_vertices)
+        assert u.min() < 0.0 < u.max()
         f = LoadField.from_values(disk, rng.normal(size=disk.n_boundary_cells))
-        p, eps, h = 2.0, 0.01, 1e-4
+        h = 1e-5
         H = P1Space.of(disk).hessian(u, p, eps)
         for _ in range(4):
             v = rng.normal(size=disk.n_vertices)
             fd = (residual(disk, u + h * v, f, p, eps)
                   - residual(disk, u - h * v, f, p, eps)) / (2 * h)
             Hv = H @ v
-            assert np.max(np.abs(fd - Hv)) <= 1e-8 * np.max(np.abs(Hv))
+            tol = 1e-8 if p == 2.0 else 1e-5
+            assert np.max(np.abs(fd - Hv)) <= tol * np.max(np.abs(Hv))
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_exact_mass_curvature_away_from_zero(self, disk, p, eps):
-        # along the constant direction only the mass term curves; with u
-        # bounded away from zero the floored coefficient must be the exact
-        # one, whatever the gradient regularization eps
+        # along the constant direction only the mass term curves; its
+        # coefficient must be exact whatever eps
         u = 0.05 * (2.0 + disk.vertices[:, 0])
         f = LoadField.constant(disk, 0.0)
         one, h = np.ones(disk.n_vertices), 1e-6
@@ -165,8 +182,8 @@ class TestHessian:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_zero_state_is_finite_and_definite(self, disk, p):
-        # u = 0 has no scale of its own: the floor falls back to eps, so
-        # the first Hessian of a cold start is finite and nonsingular
+        # at u = 0 the mass coefficient is eps^{p-2}, so the first Hessian
+        # of a cold start is finite and nonsingular
         H = P1Space.of(disk).hessian(np.zeros(disk.n_vertices), p, 0.1)
         assert np.all(np.isfinite(H.data))
         assert np.linalg.eigvalsh(H.toarray()).min() > 0.0
@@ -256,20 +273,18 @@ class TestSolve:
         rebuilt = StateField.from_nodal(disk, u.nodal_values, u.p, u.epsilon)
         assert np.max(np.abs(rebuilt.boundary_trace - u.boundary_trace)) < 1e-12
 
-    def test_nonconvergence_returns_partial_state(self, disk):
+    def test_nonconvergence_returns_partial_state(self, disk, monkeypatch):
         f = LoadField.constant(disk, 1.0)
         # single continuation stage and a starved iteration budget
-        cfg = SolveConfig(
-            p=3.0, eps_initial=1e-8, eps_final=1e-8, max_newton_iters=2
-        )
-        u, rep = solve(disk, f, cfg)
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
+        u, rep = solve(disk, f, SolveConfig(p=3.0, eps_final=EPS_INITIAL))
         assert not rep.converged
         assert rep.stage_exits == ["cap"]
-        assert rep.final_residual > cfg.newton_tol
+        assert rep.final_residual > NEWTON_TOL
         assert np.all(np.isfinite(u.nodal_values))
         assert np.isfinite(rep.J)
 
-    @pytest.mark.parametrize("p, budget", [(1.3, 70), (1.5, 40)])
+    @pytest.mark.parametrize("p, budget", [(1.1, 80), (1.3, 70), (1.5, 40)])
     def test_cold_start_newton_budget(self, disk, p, budget):
         # criterion 1's step load from u = 0: every stage converges well
         # within the cap (a Hessian that misjudges the mass curvature
@@ -278,8 +293,24 @@ class TestSolve:
         _, rep = solve(disk, step_load(disk, STEP_LEVELS), cfg)
         assert rep.converged
         assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
-        assert max(rep.iterations_per_stage) < cfg.max_newton_iters
+        assert max(rep.iterations_per_stage) < MAX_NEWTON_ITERS
         assert sum(rep.iterations_per_stage) <= budget
+
+    @pytest.mark.parametrize("p, scale", [
+        pytest.param(p, 10.0 ** k,
+                     marks=ABSOLUTE_STOP_FLOOR if (p, k) == (1.1, 3) else ())
+        for p in (1.1, 1.15, 1.2, 1.3)
+        for k in range(-3, 4)
+    ])
+    def test_low_p_step_load_converges_at_every_scale(self, disk, p, scale):
+        # criterion 1's step load, scaled over six decades, near p = 1:
+        # every stage reaches NEWTON_TOL and the duality gap certifies J
+        f = step_load(disk, STEP_LEVELS)
+        _, rep = solve(disk, LoadField(scale * f.cell_values, f.weights),
+                       SolveConfig(p=p))
+        assert rep.converged
+        assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
+        assert rep.duality_gap <= 1e-6 * (1.0 + abs(rep.J))
 
     def test_line_search_stall_is_reported(self, disk):
         # a load beyond floating range: the Newton slope overflows to -inf,
@@ -299,9 +330,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolveConfig(p=11.0)
         with pytest.raises(ValueError):
-            SolveConfig(p=2.0, eps_final=1.0, eps_initial=0.1)
-        with pytest.raises(ValueError):
-            SolveConfig(p=2.0, eps_factor=1.5)
+            SolveConfig(p=2.0, eps_final=1.0)
 
 
 class TestFunctionals:
