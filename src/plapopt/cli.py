@@ -160,6 +160,8 @@ def cmd_solve(args):
         "iterations_per_stage": rep.iterations_per_stage,
         "eps_stages": rep.eps_stages,
         "stage_exits": rep.stage_exits,
+        "factorizations": rep.factorizations,
+        "cg_iterations": rep.cg_iterations,
         "boundary_trace_min": float(state.boundary_trace.min()),
         "boundary_trace_max": float(state.boundary_trace.max()),
         **_provenance(args, args.mesh),

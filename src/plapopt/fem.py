@@ -14,10 +14,11 @@ only computes the entry values and sums them with one ``bincount``.
 The stiffness matrix of ``harmonic_extension`` is summed into the same
 pattern.
 The Hessian is symmetric positive definite with a symmetric pattern, so
-the solver orders its sparse LU by minimum degree on A^T + A
-(``MMD_AT_PLUS_A``) rather than by COLAMD, which orders A^T A and gives
-more fill for such matrices (Davis, *Direct Methods for Sparse Linear
-Systems*, SIAM 2006, ch. 7).
+the solver orders its sparse LU (the direct solve of a small system, or
+the factor it keeps for a whole solve as CG's preconditioner) by minimum
+degree on A^T + A (``MMD_AT_PLUS_A``) rather than by COLAMD, which
+orders A^T A and gives more fill for such matrices (Davis, *Direct
+Methods for Sparse Linear Systems*, SIAM 2006, ch. 7).
 """
 
 import numpy as np
@@ -42,7 +43,11 @@ def _power(s, e):
 
     s = |grad u|^2 + eps^2 or u^2 + eps^2 is 0 only where eps = 0 and the
     gradient or the value vanishes. The residual multiplies s**e by that
-    vanishing factor, so 0 is the correct limit even where e < 0."""
+    vanishing factor, so 0 is the correct limit even where e < 0.
+    The masked power is slower than the plain one, so it serves only
+    arrays that contain a zero; with eps > 0 none do."""
+    if s.min() > 0.0:
+        return s ** e
     return np.power(s, e, out=np.zeros_like(s), where=s > 0.0)
 
 

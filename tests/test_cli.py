@@ -76,6 +76,8 @@ class TestSolveCommand:
         assert rep["J"] == 0.0
         assert rep["converged"]
         assert rep["stage_exits"] == ["converged"] * len(rep["eps_stages"])
+        # a zero load is solved by u = 0 without a Newton step
+        assert rep["factorizations"] == rep["cg_iterations"] == 0
         assert rep["tool_version"]
         assert rep["mesh_sha256"] == file_sha256(mesh_file)
 

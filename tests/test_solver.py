@@ -333,6 +333,64 @@ class TestSolve:
             SolveConfig(p=2.0, eps_final=1.0)
 
 
+@pytest.fixture(scope="module", params=[1.5, 3.0])
+def lagged_and_direct(request, disk):
+    """Criterion 1's step load solved on the kept factor and, with
+    PCG_MIN_VERTICES raised above the mesh size, by direct solves."""
+    assert disk.n_vertices >= solver.PCG_MIN_VERTICES
+    f, cfg = step_load(disk, STEP_LEVELS), SolveConfig(p=request.param)
+    _, lagged = solve(disk, f, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "PCG_MIN_VERTICES", disk.n_vertices + 1)
+        _, direct = solve(disk, f, cfg)
+    return f, cfg, lagged, direct
+
+
+class TestNewtonSystems:
+    def test_lagged_matches_direct(self, lagged_and_direct):
+        _, _, lagged, direct = lagged_and_direct
+        for rep in (lagged, direct):
+            assert rep.converged
+            assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
+        assert abs(lagged.J - direct.J) <= 1e-10 * (1.0 + abs(direct.J))
+        assert direct.factorizations == sum(direct.iterations_per_stage)
+        assert direct.cg_iterations == 0
+
+    def test_factor_is_reused(self, lagged_and_direct):
+        # one factor serves every eps stage; CG refactors only rarely
+        _, _, lagged, _ = lagged_and_direct
+        assert lagged.cg_iterations > 0
+        assert 4 * lagged.factorizations <= sum(lagged.iterations_per_stage)
+
+    def test_refactor_path(self, disk, lagged_and_direct, monkeypatch):
+        # CG gets no iteration: every step refactors and solves directly,
+        # which is the direct path's arithmetic
+        f, cfg, _, direct = lagged_and_direct
+        monkeypatch.setattr(solver, "CG_MAX_ITERS", 0)
+        _, rep = solve(disk, f, cfg)
+        assert rep.converged
+        assert rep.factorizations == sum(rep.iterations_per_stage)
+        assert rep.cg_iterations == 0
+        assert rep.J == pytest.approx(direct.J, rel=1e-13)
+
+    def test_singular_system_gives_no_direction(self):
+        # splu raises where spsolve returns NaN; either way the Newton
+        # loop gets a non-finite direction and falls back to the gradient
+        n = solver.PCG_MIN_VERTICES
+        systems = solver._NewtonSystems(n)
+        d = systems.solve(sparse.csc_matrix((n, n)), np.ones(n), 0.1)
+        assert np.all(np.isnan(d))
+        assert systems.factorizations == 1 and systems.lu is None
+
+    def test_small_systems_solve_directly(self):
+        mesh = build_disk_mesh(1.0, 8, 2)
+        assert mesh.n_vertices < solver.PCG_MIN_VERTICES
+        _, rep = solve(mesh, step_load(mesh, STEP_LEVELS), SolveConfig(p=1.5))
+        assert rep.converged
+        assert rep.cg_iterations == 0
+        assert rep.factorizations == sum(rep.iterations_per_stage) > 0
+
+
 class TestFunctionals:
     def test_J_zero_load(self, disk):
         f = LoadField.constant(disk, 0.0)
