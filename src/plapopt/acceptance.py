@@ -8,6 +8,7 @@ enumeration for the tiny maximizations); the test suite re-derives them
 from the live oracles as a cross-check.
 """
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -61,14 +62,35 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name} ({self.elapsed:.1f}s)"
 
 
-def _result(number, name, passed, details, t0):
-    return CriterionResult(number, name, bool(passed), details, time.time() - t0)
+ALL_CRITERIA = []
 
 
+def _criterion(name):
+    """Register a check as the next criterion, numbered by its place in
+    ``ALL_CRITERIA``. The check returns (passed, details); the registered
+    callable times it and returns a ``CriterionResult``."""
+
+    def register(check):
+        number = len(ALL_CRITERIA) + 1
+
+        @functools.wraps(check)
+        def run():
+            t0 = time.time()
+            passed, details = check()
+            return CriterionResult(
+                number, name, bool(passed), details, time.time() - t0
+            )
+
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
+
+
+@_criterion("duality gap")
 def criterion_1_duality():
     """|J - I(u_f)| <= 1e-6 (1 + |J|) for p in {1.5, 2, 3}, disk 64x10,
     5 random step loads each."""
-    t0 = time.time()
     mesh = build_disk_mesh(1.0, 64, 10)
     rng = np.random.default_rng(20240601)
     worst = 0.0
@@ -83,16 +105,13 @@ def criterion_1_duality():
             worst = max(worst, ratio)
             ok = ok and rep.converged and rep.duality_gap <= tol
             cases.append((p, k, rep.J, rep.duality_gap))
-    return _result(
-        1, "duality gap", ok,
-        {"worst_gap_over_tol": worst, "n_cases": len(cases)}, t0,
-    )
+    return ok, {"worst_gap_over_tol": worst, "n_cases": len(cases)}
 
 
+@_criterion("p=2 radial oracle + convergence order")
 def criterion_2_linear_oracle():
     """p=2 unit disk, unit load: J within 1% of 2 pi I0(1)/I1(1) on the
     64x10 mesh; observed convergence order >= 1.8 under one refinement."""
-    t0 = time.time()
     errs = []
     for n, m in ((64, 10), (128, 20)):
         mesh = build_disk_mesh(1.0, n, m)
@@ -102,28 +121,25 @@ def criterion_2_linear_oracle():
     rel = errs[0] / J_ORACLE_P2
     order = float(np.log2(errs[0] / errs[1]))
     ok = rel <= 0.01 and order >= 1.8
-    return _result(
-        2, "p=2 radial oracle + convergence order", ok,
-        {"rel_error_64x10": rel, "observed_order": order}, t0,
-    )
+    return ok, {"rel_error_64x10": rel, "observed_order": order}
 
 
+@_criterion("p=3 radial oracle")
 def criterion_3_nonlinear_oracle():
     """p=3 unit disk, unit load: boundary trace within 1% of the radial
     shooting oracle at every cell."""
-    t0 = time.time()
     mesh = build_disk_mesh(1.0, 64, 10)
     f = LoadField.constant(mesh, 1.0)
     state, rep = solve(mesh, f, SolveConfig(p=3.0))
     rel = np.max(np.abs(state.boundary_trace - TRACE_ORACLE_P3)) / TRACE_ORACLE_P3
     ok = rep.converged and rel <= 0.01
-    return _result(3, "p=3 radial oracle", ok, {"max_rel_trace_error": rel}, t0)
+    return ok, {"max_rel_trace_error": rel}
 
 
+@_criterion("best response = exhaustive maximum")
 def criterion_4_best_response_exact():
     """best_response attains the exhaustive-permutation maximum of L
     exactly, 100 random traces on up to 8 cells."""
-    t0 = time.time()
     rng = np.random.default_rng(7)
     ok = True
     worst = 0.0
@@ -141,20 +157,13 @@ def criterion_4_best_response_exact():
         L_max = float(L_all.max())
         worst = max(worst, abs(L_max - L_hat))
         ok = ok and L_hat >= L_max  # exact: no permutation may beat it
-    return _result(
-        4, "best response = exhaustive maximum", ok,
-        {"max_abs_gap": worst, "n_trials": 100}, t0,
-    )
+    return ok, {"max_abs_gap": worst, "n_trials": 100}
 
 
 # Shared battery for criteria 5 and 6: optimization runs on the 64x10 disk
 # plus exhaustive enumeration on the 8-cell disk.
-_battery_cache = {}
-
-
+@functools.cache
 def _optimization_battery():
-    if "runs" in _battery_cache:
-        return _battery_cache
     mesh = build_disk_mesh(1.0, 64, 10)
     runs = []
     for p in (2.0, 3.0):
@@ -174,7 +183,6 @@ def _optimization_battery():
                 "history": hist,
                 "defect": comonotonicity_defect(fhat, uhat.boundary_trace),
             })
-    _battery_cache["runs"] = runs
 
     tiny = build_disk_mesh(1.0, 8, 2)
     tiny_cases = []
@@ -202,14 +210,13 @@ def _optimization_battery():
             "J_optimizer": rep.J,
             "n_distinct": len(seen),
         })
-    _battery_cache["tiny"] = tiny_cases
-    return _battery_cache
+    return {"runs": runs, "tiny": tiny_cases}
 
 
+@_criterion("monotone ascent of J")
 def criterion_5_monotone_ascent():
     """J(f_{k+1}) >= J(f_k) - 1e-5 (1 + |J|) along every optimization
     iteration of the criterion-6 battery."""
-    t0 = time.time()
     battery = _optimization_battery()
     worst = -np.inf
     ok = True
@@ -221,15 +228,13 @@ def criterion_5_monotone_ascent():
                 slack = (a - b) / (1e-5 * (1.0 + abs(a)))
                 worst = max(worst, slack)
                 ok = ok and b >= a - 1e-5 * (1.0 + abs(a))
-    return _result(
-        5, "monotone ascent of J", ok, {"worst_drop_over_tol": worst}, t0
-    )
+    return ok, {"worst_drop_over_tol": worst}
 
 
+@_criterion("comonotone fixed point + tiny exhaustive match")
 def criterion_6_comonotone_fixed_point():
     """Terminal comonotonicity defect 0 for binary and 3-level loads,
     p in {2, 3}, 5 restarts; 8-cell exhaustive maximum matched to 1e-6."""
-    t0 = time.time()
     battery = _optimization_battery()
     ok = True
     defects = []
@@ -243,42 +248,46 @@ def criterion_6_comonotone_fixed_point():
         )
         rels.append(rel)
         ok = ok and rel <= 1e-6
-    return _result(
-        6, "comonotone fixed point + tiny exhaustive match", ok,
-        {"defects": defects, "tiny_rel_gaps": rels}, t0,
-    )
+    return ok, {"defects": defects, "tiny_rel_gaps": rels}
 
 
+def _agreement_table(meshes, specs):
+    """Four-way agreement for p in {1.5, 2, 3} and each field of specs, on
+    each mesh of ``meshes`` (coarse to fine), under the criterion 7 step
+    load. One row (p, spec, discrepancy on each mesh) per p and field; the
+    field "bump" sits at 0.3 L with width 0.4 L for boundary length L."""
+    table = []
+    for p in (1.5, 2.0, 3.0):
+        for spec in specs:
+            discs = []
+            for mesh in meshes:
+                L = mesh.total_boundary_length
+                fld = tangent_field(
+                    f"bump:{0.3 * L},{0.4 * L}" if spec == "bump" else spec, L
+                )
+                f = step_load(mesh, STEP_LEVELS)
+                rep = derivative_report(mesh, f, fld, SolveConfig(p=p), t=1e-3)
+                discs.append(rep.max_discrepancy)
+            table.append((p, spec, *discs))
+    return table
+
+
+@_criterion("four-way derivative agreement")
 def criterion_7_derivative_agreement():
     """Pairwise relative discrepancy of the four I'(0) estimates <= 1e-2
     on the 128-cell disk for p in {1.5, 2, 3} and three perturbation
     fields, decreasing under one refinement."""
-    t0 = time.time()
-    ok = True
-    table = []
-    for p in (1.5, 2.0, 3.0):
-        for spec_name in ("sin:1", "cos:2", "bump"):
-            discs = {}
-            for n, m in ((128, 20), (256, 40)):
-                mesh = build_disk_mesh(1.0, n, m)
-                L = mesh.total_boundary_length
-                spec = (
-                    f"bump:{0.3 * L},{0.4 * L}" if spec_name == "bump" else spec_name
-                )
-                f = step_load(mesh, STEP_LEVELS)
-                fld = tangent_field(spec, L)
-                rep = derivative_report(mesh, f, fld, SolveConfig(p=p), t=1e-3)
-                discs[n] = rep.max_discrepancy
-            ok = ok and discs[128] <= 1e-2 and discs[256] < discs[128]
-            table.append((p, spec_name, discs[128], discs[256]))
-    return _result(
-        7, "four-way derivative agreement", ok,
-        {"max_disc_128": max(r[2] for r in table),
-         "max_disc_256": max(r[3] for r in table),
-         "cases": table}, t0,
+    table = _agreement_table(
+        [build_disk_mesh(1.0, 128, 20), build_disk_mesh(1.0, 256, 40)],
+        ("sin:1", "cos:2", "bump"),
     )
+    ok = all(d128 <= 1e-2 and d256 < d128 for _, _, d128, d256 in table)
+    return ok, {"max_disc_128": max(r[2] for r in table),
+                "max_disc_256": max(r[3] for r in table),
+                "cases": table}
 
 
+@_criterion("rotation-symmetry null")
 def criterion_8_symmetry_null():
     """All four I'(0) estimates vanish to 1e-4 (1 + |J|) for a constant
     (rotation) field on the disk; run at p in {2, 3} on the 512-cell mesh.
@@ -287,7 +296,6 @@ def criterion_8_symmetry_null():
     excluded because the jump, surface-divergence and finite-difference
     routes do not vanish to this tolerance there: at p = 1.5 the largest
     (the jump formula, ~1e-3) is about 5 times it on this mesh."""
-    t0 = time.time()
     mesh = build_disk_mesh(1.0, 512, 80)
     L = mesh.total_boundary_length
     f = step_load(mesh, STEP_LEVELS)
@@ -300,16 +308,13 @@ def criterion_8_symmetry_null():
         worst = max(abs(v) for v in rep.values.values())
         ok = ok and worst <= tol
         rows.append((p, worst, tol))
-    return _result(
-        8, "rotation-symmetry null", ok,
-        {"worst_over_tol": max(w / tol for _, w, tol in rows), "cases": rows}, t0,
-    )
+    return ok, {"worst_over_tol": max(w / tol for _, w, tol in rows), "cases": rows}
 
 
+@_criterion("transport convergence")
 def criterion_9_transport_convergence():
     """||f_t - f||_{L^q} and ||u_t - u_0||_{W^{1,p}} decay monotonically
     (10% slack) along t = 0.1 * 2^{-k}, k = 0..5."""
-    t0 = time.time()
     mesh = build_disk_mesh(1.0, 64, 10)
     L = mesh.total_boundary_length
     f = binary_load(mesh, 24, start=3)
@@ -321,15 +326,13 @@ def criterion_9_transport_convergence():
         rec = transported_solution_check(mesh, f, fld, ts, SolveConfig(p=p))
         ok = ok and rec.u_monotone and rec.f_monotone
         final[p] = (rec.u_norms[-1], rec.f_norms[-1])
-    return _result(
-        9, "transport convergence", ok, {"final_norms": final}, t0
-    )
+    return ok, {"final_norms": final}
 
 
+@_criterion("flow fidelity")
 def criterion_10_flow_fidelity():
     """Flow group property to 1e-9; first-order expansion and tangential
     Jacobian deviations shrink by ~4 per t-halving (second order)."""
-    t0 = time.time()
     L = 2.0 * np.pi
     fld = tangent_field("sin:1", L)
     s = np.linspace(0.0, L, 37, endpoint=False)
@@ -354,52 +357,23 @@ def criterion_10_flow_fidelity():
         and 3.5 <= jac_ratio <= 4.5
         and e1 <= 1e-5
     )
-    return _result(
-        10, "flow fidelity", ok,
-        {"group_dev": group_dev, "expansion_halving_ratio": exp_ratio,
-         "jacobian_halving_ratio": jac_ratio, "expansion_dev_1e-3": e1}, t0,
-    )
+    return ok, {"group_dev": group_dev, "expansion_halving_ratio": exp_ratio,
+                "jacobian_halving_ratio": jac_ratio, "expansion_dev_1e-3": e1}
 
 
+@_criterion("four-way derivative agreement on the square")
 def criterion_11_square_agreement():
     """Pairwise relative discrepancy of the four I'(0) estimates <= 1e-2
     on the square with 64 cells per side for p in {1.5, 2, 3} and the
     fields sin:1 and cos:2, decreasing from 32 cells per side."""
-    t0 = time.time()
-    ok = True
-    table = []
-    for p in (1.5, 2.0, 3.0):
-        for spec in ("sin:1", "cos:2"):
-            discs = {}
-            for n in (32, 64):
-                mesh = build_square_mesh(1.0, n)
-                f = step_load(mesh, STEP_LEVELS)
-                fld = tangent_field(spec, mesh.total_boundary_length)
-                rep = derivative_report(mesh, f, fld, SolveConfig(p=p), t=1e-3)
-                discs[n] = rep.max_discrepancy
-            ok = ok and discs[64] <= 1e-2 and discs[64] < discs[32]
-            table.append((p, spec, discs[32], discs[64]))
-    return _result(
-        11, "four-way derivative agreement on the square", ok,
-        {"max_disc_32": max(r[2] for r in table),
-         "max_disc_64": max(r[3] for r in table),
-         "cases": table}, t0,
+    table = _agreement_table(
+        [build_square_mesh(1.0, 32), build_square_mesh(1.0, 64)],
+        ("sin:1", "cos:2"),
     )
-
-
-ALL_CRITERIA = [
-    criterion_1_duality,
-    criterion_2_linear_oracle,
-    criterion_3_nonlinear_oracle,
-    criterion_4_best_response_exact,
-    criterion_5_monotone_ascent,
-    criterion_6_comonotone_fixed_point,
-    criterion_7_derivative_agreement,
-    criterion_8_symmetry_null,
-    criterion_9_transport_convergence,
-    criterion_10_flow_fidelity,
-    criterion_11_square_agreement,
-]
+    ok = all(d64 <= 1e-2 and d64 < d32 for _, _, d32, d64 in table)
+    return ok, {"max_disc_32": max(r[2] for r in table),
+                "max_disc_64": max(r[3] for r in table),
+                "cases": table}
 
 
 def run_criteria(numbers=None, echo=print):

@@ -32,7 +32,7 @@ from .fileio import (
 from .geometry import build_disk_mesh, build_square_mesh, validate_mesh
 from .optimizer import OptimizeConfig, maximize_over_rearrangements
 from .perturbation import derivative_report, tangent_field
-from .solver import P_MAX, P_MIN, SolveConfig, SolverError, solve
+from .solver import SolveConfig, SolverError, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,21 +44,13 @@ class ConfigError(ValueError):
     pass
 
 
-# Keys accepted in a --config JSON file, per subcommand.
-CONFIG_KEYS = {
-    "mesh": {"shape", "n", "n_radial", "radius", "side", "out"},
-    "solve": {"mesh", "load", "p", "eps_final", "out"},
-    "optimize": {"mesh", "load0", "p", "restarts", "seed", "max_iters", "out"},
-    "derivative": {"mesh", "load", "p", "field", "t", "out"},
-    "suite": {"criteria", "out"},
-}
+def parse_config(path, flags):
+    """Load a JSON config file that overrides a subcommand's ``flags``
+    (its argparse destinations with their parsed values).
 
-
-def parse_config(path, subcommand):
-    """Load and validate a JSON config file for a subcommand.
-
-    Unknown keys are rejected; values are validated by the same rules as
-    the corresponding flags (p range, existing paths).
+    Unknown keys are rejected and each value takes the type of its flag's
+    value; then the values meet the same checks as flag values (p range,
+    existing paths).
     """
     try:
         with open(path) as fh:
@@ -71,28 +63,21 @@ def parse_config(path, subcommand):
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    allowed = CONFIG_KEYS[subcommand]
-    unknown = sorted(set(cfg) - allowed)
+    unknown = sorted(set(cfg) - set(flags))
     if unknown:
         raise ConfigError(
-            f"{path}: unknown config keys {unknown}; allowed: {sorted(allowed)}"
+            f"{path}: unknown config keys {unknown}; allowed: {sorted(flags)}"
         )
-    if "p" in cfg:
-        _validate_p(cfg["p"])
-    for key in ("mesh", "load", "load0"):
-        if key in cfg and not os.path.exists(str(cfg[key])):
-            raise ConfigError(f"{path}: {key} path {cfg[key]!r} does not exist")
+    for key, value in cfg.items():
+        kind = type(flags[key])
+        if flags[key] is not None and not isinstance(value, kind):
+            try:
+                cfg[key] = kind(value)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}: {key} must be a {kind.__name__}, got {value!r}"
+                ) from None
     return cfg
-
-
-def _validate_p(p):
-    try:
-        p = float(p)
-    except (TypeError, ValueError):
-        raise ConfigError(f"p must be a number, got {p!r}")
-    if not P_MIN <= p <= P_MAX:
-        raise ConfigError(f"p must lie in [{P_MIN}, {P_MAX}], got {p}")
-    return p
 
 
 def _default_out(value, fallback):
@@ -146,7 +131,7 @@ def cmd_mesh(args):
 
 
 def cmd_solve(args):
-    config = SolveConfig(p=float(args.p), eps_final=float(args.eps_final))
+    config = SolveConfig(p=args.p, eps_final=args.eps_final)
     mesh = _load_mesh(args.mesh)
     f = read_load(_existing(args.load, "load"), mesh)
     out = _default_out(args.out, "solve.json")
@@ -176,10 +161,10 @@ def cmd_solve(args):
 
 def cmd_optimize(args):
     config = OptimizeConfig(
-        solver=SolveConfig(p=float(args.p)),
-        n_restarts=int(args.restarts),
-        seed=int(args.seed),
-        max_outer_iters=int(args.max_iters),
+        solver=SolveConfig(p=args.p),
+        n_restarts=args.restarts,
+        seed=args.seed,
+        max_outer_iters=args.max_iters,
     )
     mesh = _load_mesh(args.mesh)
     f0 = read_load(_existing(args.load0, "load0"), mesh)
@@ -204,7 +189,7 @@ def cmd_optimize(args):
             for r, J, fp in hist.restart_results
         ],
         "n_iterations": len(hist.records),
-        **_provenance(args, args.mesh, seed=int(args.seed)),
+        **_provenance(args, args.mesh, seed=args.seed),
     }
     write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"wrote {out_dir}: J_best={best:.9g}")
@@ -212,12 +197,12 @@ def cmd_optimize(args):
 
 
 def cmd_derivative(args):
-    config = SolveConfig(p=float(args.p))
+    config = SolveConfig(p=args.p)
     mesh = _load_mesh(args.mesh)
     f = read_load(_existing(args.load, "load"), mesh)
     out = _default_out(args.out, "derivative.json")
     field = tangent_field(args.field, mesh.total_boundary_length)
-    rep = derivative_report(mesh, f, field, config, t=float(args.t))
+    rep = derivative_report(mesh, f, field, config, t=args.t)
     payload = {
         "estimates": rep.values,
         "discrepancies": rep.discrepancies,
@@ -345,8 +330,9 @@ def main(argv=None):
         return exc.code
     try:
         if args.config:
-            for k, v in parse_config(args.config, args.command).items():
-                setattr(args, k, v)
+            flags = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "func", "config")}
+            vars(args).update(parse_config(args.config, flags))
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,12 +83,6 @@ class DomainMesh:
     def n_boundary_cells(self):
         return self.boundary_loop.shape[0]
 
-    @property
-    def boundary_cell_edges(self):
-        """(n_b, 2) endpoint vertex indices of each boundary cell."""
-        loop = self.boundary_loop
-        return np.column_stack([loop, np.roll(loop, -1)])
-
     @classmethod
     def from_arrays(cls, vertices, triangles, boundary_loop):
         """Assemble a mesh, deriving all boundary cell data from the loop."""

@@ -60,7 +60,6 @@ class IterationRecord:
     duality_gap: float
     defect: float
     changed: bool
-    trace_ties: int  # exactly-equal trace pairs; uniqueness can fail there
 
 
 @dataclass
@@ -70,11 +69,6 @@ class OptimizeHistory:
 
     def per_restart(self, r):
         return [rec for rec in self.records if rec.restart == r]
-
-
-def _count_trace_ties(trace):
-    t = np.sort(trace)
-    return int(np.count_nonzero(np.diff(t) == 0.0))
 
 
 def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
@@ -129,7 +123,6 @@ def _run_single(mesh, f, rclass, config, restart, history):
                 duality_gap=report.duality_gap,
                 defect=comonotonicity_defect(f, trace),
                 changed=changed,
-                trace_ties=_count_trace_ties(trace),
             )
         )
         result = (f, state, J)

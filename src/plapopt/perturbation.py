@@ -435,9 +435,6 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
     )
 
 
-ESTIMATE_NAMES = ("volume", "surfdiv", "bvjump", "findiff")
-
-
 @dataclass
 class DerivativeReport:
     """The four I'(0) estimates with their pairwise relative discrepancies.
@@ -446,26 +443,13 @@ class DerivativeReport:
     four estimates (zero if all estimates vanish). ``J`` is the functional
     J(f) of the base solve."""
 
-    d_volume: float
-    d_surfdiv: float
-    d_bvjump: float
-    d_findiff: float
+    values: dict  # volume, surfdiv, bvjump, findiff, in that order
     discrepancies: dict
     t: float
     p: float
     field_name: str
     n_boundary_cells: int
-    n_vertices: int
     J: float
-
-    @property
-    def values(self):
-        return {
-            "volume": self.d_volume,
-            "surfdiv": self.d_surfdiv,
-            "bvjump": self.d_bvjump,
-            "findiff": self.d_findiff,
-        }
 
     @property
     def max_discrepancy(self):
@@ -497,15 +481,11 @@ def derivative_report(mesh, f: LoadField, field: TangentField,
         ),
     }
     return DerivativeReport(
-        d_volume=vals["volume"],
-        d_surfdiv=vals["surfdiv"],
-        d_bvjump=vals["bvjump"],
-        d_findiff=vals["findiff"],
+        values=vals,
         discrepancies=pairwise_discrepancies(vals),
         t=t,
         p=config.p,
         field_name=field.name,
         n_boundary_cells=mesh.n_boundary_cells,
-        n_vertices=mesh.n_vertices,
         J=rep.J,
     )

@@ -130,20 +130,20 @@ def linear_functional_L(f: LoadField, trace):
     return float(np.sum(f.cell_values * trace * f.weights))
 
 
-def comonotonicity_defect(f: LoadField, trace, tie_tol=TIE_TOL):
+def comonotonicity_defect(f: LoadField, trace):
     """Fraction of cell pairs ordered oppositely by load and trace.
 
     Zero iff some nondecreasing map sends trace values to load values
-    (up to ties within tie_tol). Pairs counted: trace_i < trace_j - tol
-    while f_i > f_j + tol, over all n(n-1)/2 pairs.
+    (up to ties within TIE_TOL). Pairs counted: trace_i < trace_j - TIE_TOL
+    while f_i > f_j + TIE_TOL, over all n(n-1)/2 pairs.
     """
     trace = np.asarray(trace, dtype=float)
     vals = f.cell_values
     n = vals.size
     if trace.size != n:
         raise ValueError("trace length does not match load")
-    t_less = trace[:, None] < trace[None, :] - tie_tol
-    f_more = vals[:, None] > vals[None, :] + tie_tol
+    t_less = trace[:, None] < trace[None, :] - TIE_TOL
+    f_more = vals[:, None] > vals[None, :] + TIE_TOL
     bad = int(np.count_nonzero(t_less & f_more))
     return bad / (n * (n - 1) / 2)
 

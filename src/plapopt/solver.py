@@ -40,7 +40,7 @@ supremum of
 so |J - I(u_f)| (the duality gap) is a solver-quality diagnostic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu, spsolve
@@ -140,7 +140,6 @@ class SolveReport:
     # why each stage stopped: "converged", "cap" (MAX_NEWTON_ITERS reached)
     # or "stall" (the line search found no acceptable step)
     stage_exits: list
-    energy_history: list = field(repr=False)  # one descent list per stage
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
     # on the direct path every Newton step is one factorization
@@ -248,7 +247,7 @@ class _NewtonSystems:
         return self.lu.solve(rhs)
 
 
-def _newton_stage(space, u, b, p, eps, systems, energies):
+def _newton_stage(space, u, b, p, eps, systems):
     """Damped inexact Newton at fixed eps; ``systems`` solves each step
     to the forcing term's tolerance.
 
@@ -258,7 +257,6 @@ def _newton_stage(space, u, b, p, eps, systems, energies):
     r = space.residual(u, b, p, eps)
     rnorm = np.linalg.norm(r)
     E = space.energy(u, b, p, eps)
-    energies.append(E)
     eta = ETA_MAX
     for it in range(MAX_NEWTON_ITERS):
         if rnorm <= NEWTON_TOL:
@@ -285,7 +283,6 @@ def _newton_stage(space, u, b, p, eps, systems, energies):
             # Energy cannot decrease along d within machine steps.
             return u, it + 1, fallbacks, rnorm, "stall"
         u, E = u_try, E_try
-        energies.append(E)
         r = space.residual(u, b, p, eps)
         rnorm, rnorm_old = np.linalg.norm(r), rnorm
         # Eisenstat-Walker choice 2 (gamma 0.9, alpha 2). Its safeguard
@@ -311,18 +308,14 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     b = _load_vector(mesh, f)
     u = np.zeros(space.n) if u_init is None else np.array(u_init, dtype=float)
     systems = _NewtonSystems(space.n)
-    eps_list, iters, exits, history = [], [], [], []
+    eps_list, iters, exits = [], [], []
     fallbacks = 0
     eps = EPS_INITIAL
     while True:
-        energies = []
-        u, it, fb, rnorm, reason = _newton_stage(
-            space, u, b, config.p, eps, systems, energies
-        )
+        u, it, fb, rnorm, reason = _newton_stage(space, u, b, config.p, eps, systems)
         eps_list.append(eps)
         iters.append(it)
         exits.append(reason)
-        history.append(energies)
         fallbacks += fb
         if eps <= config.eps_final:
             break
@@ -336,7 +329,6 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
         iterations_per_stage=iters,
         eps_stages=eps_list,
         stage_exits=exits,
-        energy_history=history,
         gradient_fallbacks=fallbacks,
         factorizations=systems.factorizations,
         cg_iterations=systems.cg_iterations,

@@ -38,6 +38,19 @@ def _run(number):
     return res
 
 
+class TestNumbering:
+    """A criterion's number is its place in ALL_CRITERIA."""
+
+    def test_names_carry_numbers(self):
+        assert len(acceptance.ALL_CRITERIA) == 11
+        for i, fn in enumerate(acceptance.ALL_CRITERIA, start=1):
+            assert fn.__name__.startswith(f"criterion_{i}_")
+
+    def test_selection_by_number(self):
+        results = acceptance.run_criteria({4, 10}, echo=None)
+        assert [r.number for r in results] == [4, 10]
+
+
 class TestAcceptanceCriteria:
     def test_criterion_01_duality(self):
         assert _run(1).passed

@@ -10,9 +10,7 @@ from plapopt.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_OK,
-    ConfigError,
     main,
-    parse_config,
 )
 from plapopt.fileio import (
     file_sha256,
@@ -176,6 +174,10 @@ class TestSuiteCommand:
 
     def test_unknown_suite(self, workdir):
         assert main(["suite", "smoke"]) == EXIT_CONFIG
+        # the positional kind is a config key like any flag
+        with open("cfg.json", "w") as fh:
+            json.dump({"kind": "smoke"}, fh)
+        assert main(["suite", "--config", "cfg.json"]) == EXIT_CONFIG
 
     def test_failing_criterion_exits_4(self, workdir, monkeypatch):
         def failing():
@@ -188,40 +190,53 @@ class TestSuiteCommand:
             assert not json.load(fh)["all_passed"]
 
 
-class TestParseConfig:
-    def test_minimal_config_applies(self, workdir, mesh_file, load_file):
-        cfg = {"mesh": str(mesh_file), "load": str(load_file), "p": 2.0}
-        with open("cfg.json", "w") as fh:
+def _solve_with_config(cfg, capsys):
+    """Run ``solve`` with flags that name no real file, overridden by the
+    config cfg; returns the exit code and the error output."""
+    with open("cfg.json", "w") as fh:
+        if isinstance(cfg, str):
+            fh.write(cfg)
+        else:
             json.dump(cfg, fh)
-        rc = main(["solve", "--mesh", "ignored-overridden", "--load", "x",
-                   "--p", "3", "--config", "cfg.json", "--out", "s.json"])
+    rc = main(["solve", "--mesh", "ignored-overridden", "--load", "x",
+               "--p", "3", "--config", "cfg.json", "--out", "s.json"])
+    return rc, capsys.readouterr().err
+
+
+class TestParseConfig:
+    def test_minimal_config_applies(self, workdir, mesh_file, load_file, capsys):
+        cfg = {"mesh": str(mesh_file), "load": str(load_file), "p": 2.0}
+        rc, _ = _solve_with_config(cfg, capsys)
         assert rc == EXIT_OK
         with open("s.json") as fh:
             assert json.load(fh)["config_echo"]["p"] == 2.0
 
-    def test_unknown_key_rejected(self, workdir):
-        with open("cfg.json", "w") as fh:
-            json.dump({"mesh": "m.txt", "loda": "f.txt"}, fh)
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            parse_config("cfg.json", "solve")
+    def test_unknown_key_rejected(self, workdir, capsys):
+        rc, err = _solve_with_config({"mesh": "m.txt", "loda": "f.txt"}, capsys)
+        assert rc == EXIT_CONFIG
+        assert "unknown config keys ['loda']" in err
+        assert not os.path.exists("s.json")
 
-    def test_out_of_range_p_rejected(self, workdir, mesh_file, load_file):
-        with open("cfg.json", "w") as fh:
-            json.dump({"mesh": str(mesh_file), "load": str(load_file), "p": 0.5}, fh)
-        with pytest.raises(ConfigError, match="p must lie"):
-            parse_config("cfg.json", "solve")
+    def test_out_of_range_p_rejected(self, workdir, mesh_file, load_file, capsys):
+        for p, message in ((0.5, "p must lie in [1.1, 10.0]"),
+                           (None, "p must be a float")):
+            cfg = {"mesh": str(mesh_file), "load": str(load_file), "p": p}
+            rc, err = _solve_with_config(cfg, capsys)
+            assert rc == EXIT_CONFIG
+            assert message in err
+            assert not os.path.exists("s.json")
 
-    def test_missing_path_rejected(self, workdir):
-        with open("cfg.json", "w") as fh:
-            json.dump({"mesh": "absent.txt", "p": 2.0}, fh)
-        with pytest.raises(ConfigError, match="does not exist"):
-            parse_config("cfg.json", "solve")
+    def test_missing_path_rejected(self, workdir, load_file, capsys):
+        cfg = {"mesh": "absent.txt", "load": str(load_file), "p": 2.0}
+        rc, err = _solve_with_config(cfg, capsys)
+        assert rc == EXIT_CONFIG
+        assert "mesh path 'absent.txt' does not exist" in err
+        assert not os.path.exists("s.json")
 
-    def test_json_error_has_position(self, workdir):
-        with open("cfg.json", "w") as fh:
-            fh.write('{"mesh": }')
-        with pytest.raises(ConfigError, match=r"cfg\.json:1:"):
-            parse_config("cfg.json", "solve")
+    def test_json_error_has_position(self, workdir, capsys):
+        rc, err = _solve_with_config('{"mesh": }', capsys)
+        assert rc == EXIT_CONFIG
+        assert "cfg.json:1:" in err
 
     def test_env_var_default_out(self, workdir, mesh_file, monkeypatch):
         monkeypatch.setenv("PLAPOPT_OUT", str(workdir / "envout"))

@@ -214,9 +214,9 @@ class TestDerivativeFormulas:
         rep = derivative_report(disk_fine, f, fld, SolveConfig(p=2.0), t=1e-3)
         assert rep.max_discrepancy <= 1e-2
         # at p = 2 each formula matches the finite-difference route to 1e-3
-        fd = rep.d_findiff
-        for val in (rep.d_volume, rep.d_surfdiv, rep.d_bvjump):
-            assert val == pytest.approx(fd, rel=1e-3)
+        fd = rep.values["findiff"]
+        for name in ("volume", "surfdiv", "bvjump"):
+            assert rep.values[name] == pytest.approx(fd, rel=1e-3)
 
     def test_finite_difference_richardson(self, disk):
         # smooth-in-t configuration: central differences are second order,
