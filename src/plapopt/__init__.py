@@ -4,7 +4,6 @@ rearrangement optimization and load-perturbation derivatives."""
 __version__ = "0.1.0"
 
 from .geometry import (
-    ArclengthChart,
     DomainMesh,
     build_disk_mesh,
     build_square_mesh,
@@ -53,7 +52,6 @@ from .solver import (
 )
 
 __all__ = [
-    "ArclengthChart",
     "DomainMesh",
     "build_disk_mesh",
     "build_square_mesh",

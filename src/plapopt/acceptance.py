@@ -377,7 +377,12 @@ def criterion_11_square_agreement():
 
 
 def run_criteria(numbers=None, echo=print):
-    """Run the selected criteria (all by default); returns the results."""
+    """Run the selected criteria (all by default); returns the results.
+    Raises ValueError, before running any, on an unknown number."""
+    n = len(ALL_CRITERIA)
+    unknown = sorted(set(numbers or ()) - set(range(1, n + 1)))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; criteria are numbered 1..{n}")
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if numbers is not None and i not in numbers:

@@ -44,12 +44,13 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config(path, flags):
-    """Load a JSON config file that overrides a subcommand's ``flags``
-    (its argparse destinations with their parsed values).
+def parse_config(path, actions):
+    """Load a JSON config file that overrides a subcommand's flags (their
+    argparse actions by destination).
 
-    Unknown keys are rejected and each value takes the type of its flag's
-    value; then the values meet the same checks as flag values (p range,
+    Unknown keys are rejected and each value is converted by its flag's
+    ``type`` (``str`` if none), item by item where the flag takes a list;
+    then the values meet the same checks as flag values (p range,
     existing paths).
     """
     try:
@@ -63,20 +64,26 @@ def parse_config(path, flags):
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(cfg) - set(flags))
+    unknown = sorted(set(cfg) - set(actions))
     if unknown:
         raise ConfigError(
-            f"{path}: unknown config keys {unknown}; allowed: {sorted(flags)}"
+            f"{path}: unknown config keys {unknown}; allowed: {sorted(actions)}"
         )
     for key, value in cfg.items():
-        kind = type(flags[key])
-        if flags[key] is not None and not isinstance(value, kind):
-            try:
-                cfg[key] = kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{path}: {key} must be a {kind.__name__}, got {value!r}"
-                ) from None
+        kind = actions[key].type or str
+        many = actions[key].nargs not in (None, "?")
+        items = value if many and isinstance(value, list) else [value]
+        try:
+            # a str flag takes only strings; int and float refuse "True", "None"
+            if many != isinstance(value, list) or (
+                    kind is str and not all(isinstance(v, str) for v in items)):
+                raise TypeError
+            items = [kind(str(v)) for v in items]
+        except (TypeError, ValueError):
+            name = kind.__name__
+            what = f"a list of {name}" if many else ("an int" if kind is int else f"a {name}")
+            raise ConfigError(f"{path}: {key} must be {what}, got {value!r}") from None
+        cfg[key] = items if many else items[0]
     return cfg
 
 
@@ -318,6 +325,7 @@ def build_parser():
     a.add_argument("--out", default=None)
     a.add_argument("--config", default=None)
     a.set_defaults(func=cmd_suite)
+    ap.commands = sub.choices  # subcommand name -> its parser
     return ap
 
 
@@ -330,9 +338,9 @@ def main(argv=None):
         return exc.code
     try:
         if args.config:
-            flags = {k: v for k, v in vars(args).items()
-                     if k not in ("command", "func", "config")}
-            vars(args).update(parse_config(args.config, flags))
+            actions = {a.dest: a for a in ap.commands[args.command]._actions
+                       if a.dest not in ("help", "config")}
+            vars(args).update(parse_config(args.config, actions))
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,6 +65,8 @@ class P1Space:
         self.triangles = tri
         self.n = mesh.n_vertices
         self.boundary_weights = mesh.boundary_weights
+        self.cell_starts = mesh.cell_starts
+        self.period = mesh.total_boundary_length
         p = mesh.vertices[tri]  # (n_t, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
@@ -208,38 +210,42 @@ class P1Space:
             minlength=self.n,
         )
 
-    def load_vector_from_function(self, fun, chart):
-        """Nodal load vector of a boundary flux given as a function of
-        arclength, integrated exactly cell by cell.
-
-        ``fun`` must expose ``piecewise_on(a, b)`` yielding
-        (left, right, value) subintervals of [a, b] on which it is
-        constant; step functions transported by a boundary flow do.
-        """
-        w = self.boundary_weights
-        starts = chart.cell_starts
-        b = np.zeros(self.n)
-        for c in range(self.edge_a.size):
-            s0, s1 = starts[c], starts[c + 1]
-            acc_a = acc_b = 0.0
-            for lo, hi, val in fun.piecewise_on(s0, s1):
-                # hat of edge_a falls 1 -> 0 over [s0, s1]; edge_b rises.
-                acc_a += val * ((s1 - lo) ** 2 - (s1 - hi) ** 2)
-                acc_b += val * ((hi - s0) ** 2 - (lo - s0) ** 2)
-            b[self.edge_a[c]] += 0.5 * acc_a / w[c]
-            b[self.edge_b[c]] += 0.5 * acc_b / w[c]
-        return b
+    def load_vector_from_function(self, breaks, values):
+        """Exact nodal load vector of the periodic boundary step function
+        that is ``values[i]`` on [breaks[i], breaks[i+1]) for ascending
+        ``breaks`` in [0, period], the last piece wrapping round. Each
+        piece of the common refinement of breaks and cell starts adds its
+        integrals against the two hats of its cell."""
+        starts, L = self.cell_starts, self.period
+        # the cells end a rounding before or past L, where the flux
+        # wraps round: cut at the breaks shifted by L too
+        cuts = np.union1d(starts, np.concatenate([breaks, breaks + L]))
+        cuts = cuts[cuts <= starts[-1]]
+        lo, hi = cuts[:-1], cuts[1:]
+        c = np.searchsorted(starts, lo, side="right") - 1
+        # index -1 is the last piece, which wraps round to the first break
+        mid = np.mod(0.5 * (lo + hi), L)
+        val = values[np.searchsorted(breaks, mid, side="right") - 1]
+        s0, s1 = starts[c], starts[c + 1]
+        scale = 0.5 * val / self.boundary_weights[c]
+        # the hat of edge_a falls 1 -> 0 over [s0, s1]; edge_b rises
+        acc_a = scale * ((s1 - lo) ** 2 - (s1 - hi) ** 2)
+        acc_b = scale * ((hi - s0) ** 2 - (lo - s0) ** 2)
+        return np.bincount(
+            np.concatenate([self.edge_a[c], self.edge_b[c]]),
+            weights=np.concatenate([acc_a, acc_b]),
+            minlength=self.n,
+        )
 
     def trace_average(self, u):
         """Per-cell average of u over each boundary cell; (n_b,)."""
         return 0.5 * (u[self.edge_a] + u[self.edge_b])
 
-    def boundary_gauss_points(self, chart):
+    def boundary_gauss_points(self):
         """Arclength positions of the 2-point Gauss nodes of every cell;
         (n_b, 2)."""
-        starts = chart.cell_starts
         w = self.boundary_weights
-        return starts[:-1, None] + w[:, None] * EDGE_QP[None, :]
+        return self.cell_starts[:-1, None] + w[:, None] * EDGE_QP[None, :]
 
     def trace_at_gauss(self, u):
         """u at the boundary Gauss nodes; (n_b, 2)."""

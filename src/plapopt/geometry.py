@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "DomainMesh",
-    "ArclengthChart",
     "MeshValidationReport",
     "build_disk_mesh",
     "build_square_mesh",
@@ -45,6 +44,9 @@ class DomainMesh:
     boundary_midpoints : (n_b, 2) float array
     boundary_tangents : (n_b, 2) float array, unit, along the loop
     boundary_normals : (n_b, 2) float array, unit, outward
+    cell_starts : (n_b + 1,) float array, ``[0, cumsum(boundary_weights)]``
+        Arclength s of every cell start along the loop, then of the end;
+        s is periodic with period ``total_boundary_length``.
     total_boundary_length : float
 
     Instances are immutable; all arrays are read-only.
@@ -57,6 +59,7 @@ class DomainMesh:
     boundary_midpoints: np.ndarray = field(repr=False)
     boundary_tangents: np.ndarray = field(repr=False)
     boundary_normals: np.ndarray = field(repr=False)
+    cell_starts: np.ndarray = field(repr=False)
     total_boundary_length: float
 
     def __post_init__(self):
@@ -68,6 +71,7 @@ class DomainMesh:
             "boundary_midpoints",
             "boundary_tangents",
             "boundary_normals",
+            "cell_starts",
         ):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
@@ -104,50 +108,9 @@ class DomainMesh:
             boundary_midpoints=0.5 * (a + b),
             boundary_tangents=tangents,
             boundary_normals=normals,
+            cell_starts=np.concatenate([[0.0], np.cumsum(weights)]),
             total_boundary_length=float(weights.sum()),
         )
-
-    def chart(self):
-        return ArclengthChart(self)
-
-
-class ArclengthChart:
-    """Periodic arclength parametrization s in [0, L) of the boundary loop.
-
-    s = 0 sits at the first loop vertex and s increases along the loop
-    orientation. The chart is periodic: s and s + L map to the same point.
-    """
-
-    def __init__(self, mesh: DomainMesh):
-        self.mesh = mesh
-        self.length = mesh.total_boundary_length
-        self.cell_starts = _freeze(
-            np.concatenate([[0.0], np.cumsum(mesh.boundary_weights)])
-        )
-
-    def cell_index(self, s):
-        """Boundary cell containing arclength position s (vectorized)."""
-        s = np.mod(np.asarray(s, dtype=float), self.length)
-        idx = np.searchsorted(self.cell_starts, s, side="right") - 1
-        return np.clip(idx, 0, self.mesh.n_boundary_cells - 1)
-
-    def point(self, s):
-        """Boundary point at arclength s; shape (..., 2)."""
-        s = np.asarray(s, dtype=float)
-        sm = np.mod(s, self.length)
-        c = self.cell_index(sm)
-        loop = self.mesh.boundary_loop
-        a = self.mesh.vertices[loop[c]]
-        t = self.mesh.boundary_tangents[c]
-        local = (sm - self.cell_starts[c])[..., None]
-        return a + local * t
-
-    def interface_positions(self):
-        """Arclengths of the n_b cell interfaces (cell start points)."""
-        return self.cell_starts[:-1].copy()
-
-    def midpoint_positions(self):
-        return self.cell_starts[:-1] + 0.5 * self.mesh.boundary_weights
 
 
 def triangle_signed_areas(vertices, triangles):

@@ -5,7 +5,8 @@ A periodic speed v(s) on the arclength chart generates the boundary flow
 
     d/dtau psi_tau(s) = v(psi_tau(s)),    psi_0(s) = s,
 
-which transports a load by pullback, f_t = f o psi_t^{-1}. With
+which transports a load by pullback, f_t = f o psi_t^{-1}: a step
+function whose breaks move with the flow and whose values ride along. With
 I(t) = J(f_t), four independent estimates of I'(0) are provided:
 
 * ``deriv_volume_formula``: interior integrals of the base solution
@@ -32,7 +33,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fem import EDGE_QW, P1Space
-from .geometry import ArclengthChart
 from .rearrangement import LoadField
 from .solver import SolveConfig, SolverError, StateField, solve
 
@@ -215,9 +215,10 @@ class FlowMap:
 class PiecewiseBoundaryFunction:
     """Piecewise-constant function on the periodic chart [0, L).
 
-    ``breaks`` are the ascending piece start points in [0, L); piece i
+    ``breaks`` are the ascending piece start points in [0, L]; piece i
     carries ``values[i]`` on [breaks[i], breaks[i+1]) with the last piece
-    wrapping around.
+    wrapping around. ``P1Space.load_vector_from_function`` integrates
+    it exactly from these two arrays.
     """
 
     def __init__(self, breaks, values, period):
@@ -229,53 +230,32 @@ class PiecewiseBoundaryFunction:
         self.period = float(period)
 
     @classmethod
-    def from_load(cls, chart: ArclengthChart, f: LoadField):
-        return cls(chart.cell_starts[:-1], f.cell_values, chart.length)
+    def from_load(cls, mesh, f: LoadField):
+        return cls(mesh.cell_starts[:-1], f.cell_values, mesh.total_boundary_length)
 
     def __call__(self, s):
         sm = np.mod(np.asarray(s, dtype=float), self.period)
         idx = np.searchsorted(self.breaks, sm, side="right") - 1
         return self.values[idx]  # idx == -1 wraps to the last piece
 
-    def piecewise_on(self, a, b):
-        """Yield (lo, hi, value) subintervals of [a, b] (b - a <= period)
-        on which the function is constant, in the caller's coordinates."""
-        L = self.period
-        a0 = float(np.mod(a, L))
-        offset = a - a0
-        b0 = a0 + (b - a)
-        cuts = [a0]
-        for shift in (0.0, L):
-            for br in self.breaks + shift:
-                if a0 < br < b0:
-                    cuts.append(float(br))
-        cuts.append(b0)
-        cuts = sorted(set(cuts))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi > lo:
-                yield lo + offset, hi + offset, float(self(0.5 * (lo + hi)))
 
-
-def transport_load(chart: ArclengthChart, f: LoadField, field: TangentField, t):
+def transport_load(mesh, f: LoadField, field: TangentField, t):
     """Exact pullback f o psi_t^{-1} as an evaluable piecewise-constant
     function: piece start points move with the forward flow, values ride
     along unchanged (no resampling onto cells)."""
-    base = PiecewiseBoundaryFunction.from_load(chart, f)
-    moved = np.mod(FlowMap(field, t).forward(base.breaks), chart.length)
-    return PiecewiseBoundaryFunction(moved, base.values, chart.length)
+    base = PiecewiseBoundaryFunction.from_load(mesh, f)
+    moved = np.mod(FlowMap(field, t).forward(base.breaks), base.period)
+    return PiecewiseBoundaryFunction(moved, base.values, base.period)
 
 
 def lq_distance(g1: PiecewiseBoundaryFunction, g2: PiecewiseBoundaryFunction, q):
-    """Exact L^q distance of two piecewise-constant chart functions."""
+    """Exact L^q distance of two piecewise-constant chart functions, summed
+    over the common refinement of their breaks."""
     L = g1.period
-    cuts = np.unique(np.concatenate([g1.breaks, g2.breaks, [0.0, L]]))
+    cuts = np.union1d(np.union1d(g1.breaks, g2.breaks), [0.0, L])
     cuts = cuts[(cuts >= 0.0) & (cuts <= L)]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            mid = 0.5 * (lo + hi)
-            total += abs(float(g1(mid)) - float(g2(mid))) ** q * (hi - lo)
-    return total ** (1.0 / q)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    return float(np.sum(np.abs(g1(mid) - g2(mid)) ** q * np.diff(cuts))) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +273,12 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     """
     p = u0.p
     space = P1Space.of(mesh)
-    chart = mesh.chart()
     u = u0.nodal_values
 
     tang = mesh.boundary_tangents
     tau = tang + np.roll(tang, 1, axis=0)  # cells c-1 and c meet at vertex c
     tau /= np.linalg.norm(tau, axis=1)[:, None]
-    V = space.harmonic_extension(field.speed(chart.interface_positions())[:, None] * tau)
+    V = space.harmonic_extension(field.speed(mesh.cell_starts[:-1])[:, None] * tau)
     Jac = np.einsum("tid,tie->tde", V[space.triangles], space.grads)  # dV_d/dx_e
     divV = np.trace(Jac, axis1=1, axis2=2)
 
@@ -316,7 +295,7 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     dens = space.areas * g2 ** (p / 2.0) + np.sum(space.qweights * np.abs(uq) ** p, axis=1)
     t3 = float(dens @ divV)
     # boundary term: int u0 f div_tau V ds, div_tau V = v'(s) on the chart
-    sg = space.boundary_gauss_points(chart)
+    sg = space.boundary_gauss_points()
     ug = space.trace_at_gauss(u)
     vp = field.speed_prime(sg)
     bterm = float(
@@ -327,9 +306,8 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
 
 
 def _trace_spline(mesh, u0: StateField):
-    chart = mesh.chart()
-    mids = chart.midpoint_positions()
-    s = np.concatenate([mids, [mids[0] + chart.length]])
+    mids = mesh.cell_starts[:-1] + 0.5 * mesh.boundary_weights
+    s = np.concatenate([mids, [mids[0] + mesh.total_boundary_length]])
     vals = np.concatenate([u0.boundary_trace, [u0.boundary_trace[0]]])
     return CubicSpline(s, vals, bc_type="periodic", extrapolate="periodic")
 
@@ -339,10 +317,8 @@ def deriv_surfdiv_formula(mesh, u0: StateField, f: LoadField, field: TangentFiel
     (p/(p-1)) int (d/ds)(u0(s) v(s)) f(s) ds, with the boundary trace
     interpolated by a periodic cubic spline of the cell averages."""
     p = u0.p
-    chart = mesh.chart()
     spline = _trace_spline(mesh, u0)
-    space = P1Space.of(mesh)
-    sg = space.boundary_gauss_points(chart)
+    sg = P1Space.of(mesh).boundary_gauss_points()
     integrand = spline(sg, 1) * field.speed(sg) + spline(sg) * field.speed_prime(sg)
     total = float(
         np.sum(f.cell_values[:, None] * integrand * EDGE_QW[None, :]
@@ -356,8 +332,7 @@ def deriv_bvjump_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     (p/(p-1)) sigma sum_j u0(s_j) v(s_j) (f_j - f_{j-1}), jumps at cell
     interfaces in increasing arclength, sigma = JUMP_SIGN."""
     p = u0.p
-    chart = mesh.chart()
-    s_if = chart.interface_positions()
+    s_if = mesh.cell_starts[:-1]
     u_if = u0.nodal_values[mesh.boundary_loop]  # interface j sits at loop[j]
     jumps = f.cell_values - np.roll(f.cell_values, 1)
     total = float(np.sum(u_if * field.speed(s_if) * jumps))
@@ -378,10 +353,9 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
     the exactly-transported loads."""
     if t <= 0:
         raise ValueError("finite-difference step t must be positive")
-    chart = mesh.chart()
     Js = []
     for tau in (t, -t):
-        ft = transport_load(chart, f, field, tau)
+        ft = transport_load(mesh, f, field, tau)
         _, rep = _converged_solve(
             mesh, ft, config, u_init, f"transported solve at t={tau:g}"
         )
@@ -403,18 +377,17 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
     """Solve along a decreasing sequence of flow times and record the
     decay of the solution and load distances to the base pair."""
     space = P1Space.of(mesh)
-    chart = mesh.chart()
     p = config.p
     q = p / (p - 1.0)
     u0, _ = _converged_solve(mesh, f, config, None, "base solve")
-    base = PiecewiseBoundaryFunction.from_load(chart, f)
+    base = PiecewiseBoundaryFunction.from_load(mesh, f)
     u_norms, f_norms = [], []
     for t in t_sequence:
         if t == 0.0:
             u_norms.append(0.0)
             f_norms.append(0.0)
             continue
-        ft = transport_load(chart, f, field, t)
+        ft = transport_load(mesh, f, field, t)
         ut, _ = _converged_solve(
             mesh, ft, config, u0.nodal_values, f"transported solve at t={t:g}"
         )

@@ -164,9 +164,9 @@ def _check_state(mesh, u):
 def _load_vector(mesh, f):
     """Nodal load vector b of f, so that int f u ds = b.u for P1 fields u.
 
-    f is a ``LoadField`` (cellwise constant) or any function of arclength
-    that ``P1Space.load_vector_from_function`` integrates exactly, such as
-    a load transported by a boundary flow."""
+    f is a ``LoadField`` (cellwise constant) or a step function of
+    arclength with ``breaks`` and ``values``, such as a load transported
+    by a boundary flow, which ``load_vector_from_function`` integrates."""
     space = P1Space.of(mesh)
     if isinstance(f, LoadField):
         if f.n_cells != mesh.n_boundary_cells:
@@ -174,7 +174,7 @@ def _load_vector(mesh, f):
                 f"load has {f.n_cells} cells, mesh has {mesh.n_boundary_cells}"
             )
         return space.load_vector(f.cell_values)
-    return space.load_vector_from_function(f, mesh.chart())
+    return space.load_vector_from_function(f.breaks, f.values)
 
 
 def _dual_I(space, u, J, p):

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's FEM/assembly code paths: radially
 symmetric solutions come from 1D ODE shooting, small maximization
-problems from exhaustive enumeration.
+problems from exhaustive enumeration, boundary step functions piece by
+piece in plain Python loops.
 """
 
 import itertools
@@ -70,3 +71,58 @@ def distinct_permutations(values):
         if perm not in seen:
             seen.add(perm)
             yield np.array(perm)
+
+
+def step_value(breaks, values, s, period):
+    """Value at arclength s of the periodic step function that takes
+    values[i] from breaks[i] (ascending) on, and values[-1] before
+    breaks[0]."""
+    s = s % period
+    below = [i for i, b in enumerate(breaks) if b <= s]
+    return values[below[-1]] if below else values[-1]
+
+
+def step_pieces(breaks, values, period, a, b):
+    """(lo, hi, value) pieces of [a, b] (0 <= a < b <= period plus a
+    rounding) on which the step function is constant, cut one by one."""
+    shifted = [*breaks, *(x + period for x in breaks)]
+    cuts = sorted({a, b, *(float(x) for x in shifted if a < x < b)})
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        yield lo, hi, step_value(breaks, values, 0.5 * (lo + hi), period)
+
+
+def step_load_vector(mesh, breaks, values):
+    """Nodal load vector of a boundary step function, integrated cell by
+    cell against the two hats of each boundary cell."""
+    starts = mesh.cell_starts
+    loop = mesh.boundary_loop
+    n_b = loop.size
+    b = np.zeros(mesh.n_vertices)
+    for c in range(n_b):
+        s0, s1 = starts[c], starts[c + 1]
+        acc_a = acc_b = 0.0
+        for lo, hi, val in step_pieces(
+            breaks, values, mesh.total_boundary_length, s0, s1
+        ):
+            # the hat of loop[c] falls 1 -> 0 over [s0, s1]; loop[c+1] rises
+            acc_a += val * ((s1 - lo) ** 2 - (s1 - hi) ** 2)
+            acc_b += val * ((hi - s0) ** 2 - (lo - s0) ** 2)
+        w = mesh.boundary_weights[c]
+        b[loop[c]] += 0.5 * acc_a / w
+        b[loop[(c + 1) % n_b]] += 0.5 * acc_b / w
+    return b
+
+
+def step_lq_distance(g1, g2, q):
+    """L^q distance of two periodic step functions, summed piece by piece
+    over their merged breaks."""
+    L = g1.period
+    merged = [*g1.breaks, *g2.breaks]
+    cuts = sorted({0.0, L, *(float(x) for x in merged if 0.0 < x < L)})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        v1 = step_value(g1.breaks, g1.values, mid, L)
+        v2 = step_value(g2.breaks, g2.values, mid, L)
+        total += abs(v1 - v2) ** q * (hi - lo)
+    return total ** (1.0 / q)

@@ -179,6 +179,14 @@ class TestSuiteCommand:
             json.dump({"kind": "smoke"}, fh)
         assert main(["suite", "--config", "cfg.json"]) == EXIT_CONFIG
 
+    def test_unknown_criterion_is_config_error(self, workdir, capsys):
+        rc = main(["suite", "acceptance", "--criteria", "4", "99", "--out", "acc.json"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown criteria [99]; criteria are numbered 1..{len(acceptance.ALL_CRITERIA)}" in err
+        assert "Traceback" not in err
+        assert not os.path.exists("acc.json")
+
     def test_failing_criterion_exits_4(self, workdir, monkeypatch):
         def failing():
             return acceptance.CriterionResult(1, "stub", False, {}, 0.0)
@@ -232,6 +240,26 @@ class TestParseConfig:
         assert rc == EXIT_CONFIG
         assert "mesh path 'absent.txt' does not exist" in err
         assert not os.path.exists("s.json")
+
+    def test_values_take_their_flag_type(self, workdir, mesh_file, load_file, capsys):
+        # a str flag, an int flag and a list-of-int flag, each given a
+        # value its type refuses, stop before anything is written
+        rc, err = _solve_with_config(
+            {"mesh": str(mesh_file), "load": str(load_file), "out": 1}, capsys
+        )
+        assert rc == EXIT_CONFIG and "out must be a str, got 1" in err
+        assert not os.path.exists("s.json") and not os.path.exists("1")
+        for command, cfg, message in (
+            (["mesh", "--out", "m2.txt"], {"n_radial": "x"}, "n_radial must be an int, got 'x'"),
+            (["suite", "--out", "acc.json"], {"criteria": "4"},
+             "criteria must be a list of int, got '4'"),
+        ):
+            with open("cfg.json", "w") as fh:
+                json.dump(cfg, fh)
+            assert main(command + ["--config", "cfg.json"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not os.path.exists("m2.txt") and not os.path.exists("acc.json")
 
     def test_json_error_has_position(self, workdir, capsys):
         rc, err = _solve_with_config('{"mesh": }', capsys)

@@ -41,6 +41,14 @@ class TestDiskMesh:
             mesh.total_boundary_length, abs=1e-14
         )
 
+    def test_cell_starts_accumulate_weights(self):
+        mesh = build_disk_mesh(1.0, 48, 5)
+        starts = mesh.cell_starts
+        assert starts.shape == (49,) and starts[0] == 0.0
+        assert np.allclose(np.diff(starts), mesh.boundary_weights, rtol=1e-12, atol=0)
+        assert starts[-1] == pytest.approx(mesh.total_boundary_length, abs=1e-14)
+        assert not starts.flags.writeable
+
     @pytest.mark.parametrize(
         "radius,n,m", [(0.0, 64, 10), (-1.0, 64, 10), (1.0, 7, 10), (1.0, 64, 1)]
     )
@@ -108,14 +116,3 @@ class TestValidateMesh:
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 99.0
 
-
-class TestArclengthChart:
-    def test_periodicity(self):
-        chart = build_disk_mesh(1.0, 16, 3).chart()
-        s = np.array([0.3, 1.7, 4.2])
-        assert np.allclose(chart.point(s), chart.point(s + chart.length), atol=1e-12)
-
-    def test_monotone_cell_index(self):
-        chart = build_disk_mesh(1.0, 16, 3).chart()
-        mids = chart.midpoint_positions()
-        assert np.array_equal(chart.cell_index(mids), np.arange(16))

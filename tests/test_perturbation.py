@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import step_load_vector, step_lq_distance
 from plapopt import solver
 from plapopt.acceptance import STEP_LEVELS
 from plapopt.fem import P1Space
@@ -94,33 +97,35 @@ class TestTangentialJacobian:
         assert np.sum(jac) * L2PI / n == pytest.approx(L2PI, rel=1e-8)
 
 
+def _midpoints(mesh):
+    return mesh.cell_starts[:-1] + 0.5 * mesh.boundary_weights
+
+
 class TestTransport:
     def test_t_zero_identity(self, disk):
-        chart = disk.chart()
         f = step_load(disk, [1.0, 0.0])
-        ft = transport_load(chart, f, tangent_field("cos:1", chart.length), 0.0)
-        mids = chart.midpoint_positions()
-        assert np.array_equal(ft(mids), f.cell_values)
+        L = disk.total_boundary_length
+        ft = transport_load(disk, f, tangent_field("cos:1", L), 0.0)
+        assert np.array_equal(ft(_midpoints(disk)), f.cell_values)
 
     def test_rigid_shift_preserves_distribution(self, disk):
-        chart = disk.chart()
         f = step_load(disk, [1.0, -1.0, 0.5, 0.0])
         w = disk.boundary_weights[0]
-        ft = transport_load(chart, f, tangent_field("constant", chart.length), w)
-        vals = ft(chart.midpoint_positions())
+        L = disk.total_boundary_length
+        ft = transport_load(disk, f, tangent_field("constant", L), w)
+        vals = ft(_midpoints(disk))
         assert np.array_equal(np.sort(vals), np.sort(f.cell_values))
         assert np.allclose(vals, np.roll(f.cell_values, 1))
 
     def test_lq_decay_rate(self, disk):
         # ||f_t - f||_q^q scales like t for a step load, so the norm
         # scales like t^{1/q}; computed with the exact quadrature oracle
-        chart = disk.chart()
         f = step_load(disk, [1.0, 0.0])
-        fld = tangent_field("cos:1", chart.length)
-        base = PiecewiseBoundaryFunction.from_load(chart, f)
+        fld = tangent_field("cos:1", disk.total_boundary_length)
+        base = PiecewiseBoundaryFunction.from_load(disk, f)
         q = 2.0
         norms = [
-            lq_distance(transport_load(chart, f, fld, t), base, q)
+            lq_distance(transport_load(disk, f, fld, t), base, q)
             for t in (0.08, 0.04, 0.02)
         ]
         assert norms[0] / norms[1] == pytest.approx(2 ** (1 / q), rel=1e-3)
@@ -129,22 +134,20 @@ class TestTransport:
     def test_exact_load_vector_matches_aligned_case(self, disk):
         # transported by exactly zero: piecewise assembly equals the
         # cellwise-constant assembly
-        from plapopt.fem import P1Space
-
-        chart = disk.chart()
         space = P1Space(disk)
         f = step_load(disk, [2.0, -1.0, 0.5, 0.25])
-        ft = transport_load(chart, f, tangent_field("sin:1", chart.length), 0.0)
-        b_exact = space.load_vector_from_function(ft, chart)
+        L = disk.total_boundary_length
+        ft = transport_load(disk, f, tangent_field("sin:1", L), 0.0)
+        b_exact = space.load_vector_from_function(ft.breaks, ft.values)
         b_cells = space.load_vector(f.cell_values)
         assert np.max(np.abs(b_exact - b_cells)) < 1e-13
 
     def test_solve_takes_transported_load(self, disk):
         # a load transported by zero is the load itself, through the
         # function route of the load vector instead of the cell route
-        chart = disk.chart()
         f = step_load(disk, STEP_LEVELS)
-        ft = transport_load(chart, f, tangent_field("sin:1", chart.length), 0.0)
+        L = disk.total_boundary_length
+        ft = transport_load(disk, f, tangent_field("sin:1", L), 0.0)
         cfg = SolveConfig(p=3.0)
         u, rep = solve(disk, f, cfg)
         ut, rept = solve(disk, ft, cfg)
@@ -152,6 +155,49 @@ class TestTransport:
         assert rept.J == pytest.approx(rep.J, rel=1e-12)
         scale = np.max(np.abs(u.nodal_values))
         assert np.max(np.abs(ut.nodal_values - u.nodal_values)) <= 1e-12 * scale
+
+
+@st.composite
+def step_functions(draw, mesh):
+    """A step function on the boundary of ``mesh``: random breaks, some
+    snapped to cell starts, one at 0 and one at the rounding of -1e-20
+    into [0, L), which is L itself; random values."""
+    L = mesh.total_boundary_length
+    fracs = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12))
+    cells = draw(st.lists(st.integers(0, mesh.n_boundary_cells - 1), max_size=6))
+    breaks = np.concatenate(
+        [np.array(fracs) * L, mesh.cell_starts[cells], [0.0, np.mod(-1e-20, L)]]
+    )
+    values = draw(st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                           min_size=breaks.size, max_size=breaks.size))
+    return PiecewiseBoundaryFunction(breaks, values, L)
+
+
+DISK_64 = build_disk_mesh(1.0, 64, 10)
+
+
+class TestStepFunctionProperties:
+    @given(step_functions(DISK_64))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_load_vector_matches_cellwise_reference(self, g):
+        b = P1Space.of(DISK_64).load_vector_from_function(g.breaks, g.values)
+        ref = step_load_vector(DISK_64, g.breaks, g.values)
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(b))
+        # the hats partition unity, so b sums the integral of g over the
+        # cells; they span the period up to a rounding, on which g wraps
+        lengths = np.diff(np.append(g.breaks, g.breaks[0] + g.period))
+        sliver = abs(DISK_64.cell_starts[-1] - g.period)
+        bound = (1e-13 * g.period + sliver) * np.max(np.abs(g.values))
+        assert abs(b.sum() - g.values @ lengths) <= bound
+
+    @given(step_functions(DISK_64), step_functions(DISK_64),
+           st.sampled_from([1.5, 2.0, 3.0]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_lq_distance_matches_piecewise_reference(self, g, h, q):
+        d = lq_distance(g, h, q)
+        assert d == pytest.approx(step_lq_distance(g, h, q), rel=1e-12, abs=0.0)
+        assert lq_distance(h, g, q) == d
+        assert lq_distance(g, g, q) == 0.0
 
 
 class TestDerivativeFormulas:
@@ -380,7 +426,7 @@ class TestHarmonicExtension:
         tang = disk_fine.boundary_tangents
         tau = tang + np.roll(tang, 1, axis=0)
         tau /= np.linalg.norm(tau, axis=1)[:, None]
-        s = disk_fine.chart().interface_positions()
+        s = disk_fine.cell_starts[:-1]
         V = P1Space.of(disk_fine).harmonic_extension(fld.speed(s)[:, None] * tau)
         x, y = disk_fine.vertices.T
         assert np.max(np.abs(V - np.column_stack([-y, x]))) <= 1e-12
