@@ -122,7 +122,8 @@ def _provenance(args, mesh_path=None, seed=None):
 def cmd_mesh(args):
     out = _default_out(args.out, "mesh.txt")
     if args.shape == "disk":
-        n_radial = args.n_radial or max(2, round(args.n / 6.4))
+        n_radial = (max(2, round(args.n / 6.4)) if args.n_radial is None
+                    else args.n_radial)
         mesh = build_disk_mesh(args.radius, args.n, n_radial)
     elif args.shape == "square":
         mesh = build_square_mesh(args.side, args.n)

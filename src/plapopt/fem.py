@@ -66,7 +66,6 @@ class P1Space:
         self.n = mesh.n_vertices
         self.boundary_weights = mesh.boundary_weights
         self.cell_starts = mesh.cell_starts
-        self.period = mesh.total_boundary_length
         p = mesh.vertices[tri]  # (n_t, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
@@ -213,19 +212,16 @@ class P1Space:
     def load_vector_from_function(self, breaks, values):
         """Exact nodal load vector of the periodic boundary step function
         that is ``values[i]`` on [breaks[i], breaks[i+1]) for ascending
-        ``breaks`` in [0, period], the last piece wrapping round. Each
-        piece of the common refinement of breaks and cell starts adds its
-        integrals against the two hats of its cell."""
-        starts, L = self.cell_starts, self.period
-        # the cells end a rounding before or past L, where the flux
-        # wraps round: cut at the breaks shifted by L too
-        cuts = np.union1d(starts, np.concatenate([breaks, breaks + L]))
-        cuts = cuts[cuts <= starts[-1]]
+        ``breaks`` in [0, L], L = ``cell_starts[-1]``, the last piece
+        wrapping round. The cells cover [0, L] exactly, so each piece of
+        the common refinement of breaks and cell starts lies in one cell
+        and adds its integrals against the two hats of that cell."""
+        starts = self.cell_starts
+        cuts = np.union1d(starts, breaks)
         lo, hi = cuts[:-1], cuts[1:]
         c = np.searchsorted(starts, lo, side="right") - 1
         # index -1 is the last piece, which wraps round to the first break
-        mid = np.mod(0.5 * (lo + hi), L)
-        val = values[np.searchsorted(breaks, mid, side="right") - 1]
+        val = values[np.searchsorted(breaks, 0.5 * (lo + hi), side="right") - 1]
         s0, s1 = starts[c], starts[c + 1]
         scale = 0.5 * val / self.boundary_weights[c]
         # the hat of edge_a falls 1 -> 0 over [s0, s1]; edge_b rises

@@ -110,7 +110,7 @@ def read_mesh(path) -> DomainMesh:
             raise ValueError("token count mismatch")
     except ValueError as exc:
         raise MeshFormatError(f"{path}: malformed mesh file ({exc})") from exc
-    return DomainMesh.from_arrays(vertices, triangles, loop)
+    return DomainMesh(vertices, triangles, loop)
 
 
 def write_load(path, f: LoadField):

@@ -19,7 +19,6 @@ __all__ = [
 ]
 
 EQUAL_WEIGHT_RTOL = 1e-12
-FRAME_TOL = 1e-12
 
 
 def _freeze(a):
@@ -32,6 +31,10 @@ def _freeze(a):
 class DomainMesh:
     """Triangulated planar domain with an ordered closed boundary loop.
 
+    ``DomainMesh(vertices, triangles, boundary_loop)`` derives every
+    boundary cell quantity from these three arrays, once, so no stored
+    value can disagree with the coordinates.
+
     Attributes
     ----------
     vertices : (n_v, 2) float array
@@ -41,13 +44,12 @@ class DomainMesh:
         Cell c is the edge from ``boundary_loop[c]`` to
         ``boundary_loop[(c+1) % n_b]``.
     boundary_weights : (n_b,) float array, cell arclengths (all equal)
-    boundary_midpoints : (n_b, 2) float array
     boundary_tangents : (n_b, 2) float array, unit, along the loop
-    boundary_normals : (n_b, 2) float array, unit, outward
     cell_starts : (n_b + 1,) float array, ``[0, cumsum(boundary_weights)]``
         Arclength s of every cell start along the loop, then of the end;
-        s is periodic with period ``total_boundary_length``.
-    total_boundary_length : float
+        s is periodic with period ``cell_starts[-1]``.
+    total_boundary_length : float, ``cell_starts[-1]``, so the cells
+        cover exactly one period
 
     Instances are immutable; all arrays are read-only.
     """
@@ -55,25 +57,29 @@ class DomainMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_loop: np.ndarray
-    boundary_weights: np.ndarray = field(repr=False)
-    boundary_midpoints: np.ndarray = field(repr=False)
-    boundary_tangents: np.ndarray = field(repr=False)
-    boundary_normals: np.ndarray = field(repr=False)
-    cell_starts: np.ndarray = field(repr=False)
-    total_boundary_length: float
+    boundary_weights: np.ndarray = field(init=False, repr=False)
+    boundary_tangents: np.ndarray = field(init=False, repr=False)
+    cell_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in (
-            "vertices",
-            "triangles",
-            "boundary_loop",
-            "boundary_weights",
-            "boundary_midpoints",
-            "boundary_tangents",
-            "boundary_normals",
-            "cell_starts",
-        ):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        vertices = np.asarray(self.vertices, dtype=float)
+        loop = np.asarray(self.boundary_loop, dtype=np.int64)
+        edges = vertices[np.roll(loop, -1)] - vertices[loop]
+        weights = np.hypot(edges[:, 0], edges[:, 1])
+        derived = {
+            "vertices": vertices,
+            "triangles": np.asarray(self.triangles, dtype=np.int64),
+            "boundary_loop": loop,
+            "boundary_weights": weights,
+            "boundary_tangents": edges / weights[:, None],
+            "cell_starts": np.concatenate([[0.0], np.cumsum(weights)]),
+        }
+        for name, a in derived.items():
+            object.__setattr__(self, name, _freeze(a))
+
+    @property
+    def total_boundary_length(self):
+        return float(self.cell_starts[-1])
 
     @property
     def n_vertices(self):
@@ -86,31 +92,6 @@ class DomainMesh:
     @property
     def n_boundary_cells(self):
         return self.boundary_loop.shape[0]
-
-    @classmethod
-    def from_arrays(cls, vertices, triangles, boundary_loop):
-        """Assemble a mesh, deriving all boundary cell data from the loop."""
-        vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
-        loop = np.asarray(boundary_loop, dtype=np.int64)
-        a = vertices[loop]
-        b = vertices[np.roll(loop, -1)]
-        edges = b - a
-        weights = np.hypot(edges[:, 0], edges[:, 1])
-        tangents = edges / weights[:, None]
-        # Outward normal of a CCW loop: rotate the tangent by -90 degrees.
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-        return cls(
-            vertices=vertices,
-            triangles=triangles,
-            boundary_loop=loop,
-            boundary_weights=weights,
-            boundary_midpoints=0.5 * (a + b),
-            boundary_tangents=tangents,
-            boundary_normals=normals,
-            cell_starts=np.concatenate([[0.0], np.cumsum(weights)]),
-            total_boundary_length=float(weights.sum()),
-        )
 
 
 def triangle_signed_areas(vertices, triangles):
@@ -166,7 +147,7 @@ def build_disk_mesh(radius, n_boundary, n_radial):
     triangles = np.array(tris, dtype=np.int64)
 
     loop = np.array([ring_idx(m, j) for j in range(n)], dtype=np.int64)
-    mesh = DomainMesh.from_arrays(vertices, triangles, loop)
+    mesh = DomainMesh(vertices, triangles, loop)
     assert triangle_signed_areas(mesh.vertices, mesh.triangles).min() > 0
     return mesh
 
@@ -204,7 +185,7 @@ def build_square_mesh(side, n_per_side):
         + [vid(n - i, n) for i in range(n)]
         + [vid(0, n - j) for j in range(n)]
     )
-    mesh = DomainMesh.from_arrays(vertices, triangles, np.array(loop))
+    mesh = DomainMesh(vertices, triangles, np.array(loop))
     assert triangle_signed_areas(mesh.vertices, mesh.triangles).min() > 0
     return mesh
 
@@ -261,12 +242,8 @@ def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
         if extra:
             v.append(f"loop edge {next(iter(extra))} not a boundary edge")
 
-    # Recompute cell geometry from coordinates and compare to stored data.
-    a = mesh.vertices[loop]
-    b = mesh.vertices[np.roll(loop, -1)]
-    lengths = np.hypot(*(b - a).T)
-    L = lengths.sum()
-    target = L / n_b
+    lengths = mesh.boundary_weights
+    target = mesh.total_boundary_length / n_b
     rel = np.abs(lengths - target) / target
     bad = np.nonzero(rel > EQUAL_WEIGHT_RTOL)[0]
     if bad.size:
@@ -274,27 +251,13 @@ def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
             f"boundary cell {bad[0]} length {lengths[bad[0]]:.16g} deviates "
             f"from equal-arclength value {target:.16g} (rel {rel[bad[0]]:.2e})"
         )
-    if not np.allclose(mesh.boundary_weights, lengths, rtol=1e-12, atol=0.0):
-        v.append("stored boundary weights disagree with vertex coordinates")
-    if abs(mesh.total_boundary_length - L) > 1e-12 * max(L, 1.0):
-        v.append("stored total boundary length disagrees with cell sum")
 
-    t, nrm = mesh.boundary_tangents, mesh.boundary_normals
-    dots = np.abs(np.einsum("cd,cd->c", t, nrm))
-    nt = np.abs(np.hypot(*t.T) - 1.0)
-    nn = np.abs(np.hypot(*nrm.T) - 1.0)
-    for name, vals in (("tangent-normal orthogonality", dots),
-                       ("unit tangent", nt),
-                       ("unit normal", nn)):
-        i = int(np.argmax(vals))
-        if vals[i] > FRAME_TOL:
-            v.append(f"{name} violated at cell {i} by {vals[i]:.2e}")
-
-    # Outward orientation: normals should point away from the centroid.
-    centroid = mesh.vertices.mean(axis=0)
-    outward = np.einsum("cd,cd->c", mesh.boundary_midpoints - centroid, nrm)
-    if outward.min() <= 0:
-        i = int(np.argmin(outward))
-        v.append(f"normal at cell {i} does not point outward")
+    # Counter-clockwise loop: the shoelace area of a simple polygon is
+    # positive exactly when it is traversed counter-clockwise.
+    a = mesh.vertices[loop]
+    b = mesh.vertices[np.roll(loop, -1)]
+    area = 0.5 * float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+    if area <= 0:
+        v.append(f"boundary loop is not counter-clockwise (signed area {area:.3e})")
 
     return MeshValidationReport(v)

@@ -125,11 +125,6 @@ class StateField:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @classmethod
-    def from_nodal(cls, mesh, u, p, epsilon):
-        space = P1Space.of(mesh)
-        return cls(np.asarray(u, dtype=float), space.trace_average(u), p, epsilon)
-
 
 @dataclass
 class SolveReport:

@@ -19,7 +19,7 @@ from plapopt.fileio import (
     write_load,
     write_mesh,
 )
-from plapopt.geometry import validate_mesh
+from plapopt.geometry import DomainMesh, validate_mesh
 from plapopt.rearrangement import binary_load, step_load
 
 
@@ -58,6 +58,13 @@ class TestMeshCommand:
         write_mesh(workdir / "again.txt", mesh)
         assert file_sha256(mesh_file) == file_sha256(workdir / "again.txt")
 
+    @pytest.mark.parametrize("n_radial", ["0", "1"])
+    def test_too_few_rings_is_config_error(self, workdir, capsys, n_radial):
+        rc = main(["mesh", "--n", "32", "--n-radial", n_radial, "--out", "m.txt"])
+        assert rc == EXIT_CONFIG
+        assert f"n_radial must be >= 2, got {n_radial}" in capsys.readouterr().err
+        assert not os.path.exists("m.txt")
+
 
 class TestSolveCommand:
     def test_zero_load_gives_zero_J(self, workdir, mesh_file):
@@ -78,6 +85,19 @@ class TestSolveCommand:
         assert rep["factorizations"] == rep["cg_iterations"] == 0
         assert rep["tool_version"]
         assert rep["mesh_sha256"] == file_sha256(mesh_file)
+
+    @pytest.mark.parametrize("shape", ["disk", "square"])
+    def test_clockwise_mesh_is_config_error(self, workdir, capsys, shape):
+        assert main(["mesh", "--shape", shape, "--n", "8", "--out", "m.txt"]) == EXIT_OK
+        mesh = read_mesh("m.txt")
+        write_load("f.txt", binary_load(mesh, 4))
+        write_mesh("cw.txt", DomainMesh(mesh.vertices, mesh.triangles,
+                                        mesh.boundary_loop[::-1]))
+        rc = main(["solve", "--mesh", "cw.txt", "--load", "f.txt",
+                   "--p", "2.0", "--out", "s.json"])
+        assert rc == EXIT_CONFIG
+        assert "not counter-clockwise" in capsys.readouterr().err
+        assert not os.path.exists("s.json")
 
     def test_missing_mesh_is_config_error(self, workdir):
         rc = main(["solve", "--mesh", "nope.txt", "--load", "nope.txt",

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,18 @@ class TestDiskMesh:
         starts = mesh.cell_starts
         assert starts.shape == (49,) and starts[0] == 0.0
         assert np.allclose(np.diff(starts), mesh.boundary_weights, rtol=1e-12, atol=0)
-        assert starts[-1] == pytest.approx(mesh.total_boundary_length, abs=1e-14)
+        assert starts[-1] == mesh.total_boundary_length
         assert not starts.flags.writeable
+
+    def test_only_coordinates_are_given(self):
+        mesh = build_disk_mesh(1.0, 16, 3)
+        params = list(inspect.signature(DomainMesh).parameters)
+        assert params == ["vertices", "triangles", "boundary_loop"]
+        with pytest.raises(TypeError):
+            DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop,
+                       boundary_weights=mesh.boundary_weights)
+        with pytest.raises(AttributeError):
+            mesh.total_boundary_length = 1.0
 
     @pytest.mark.parametrize(
         "radius,n,m", [(0.0, 64, 10), (-1.0, 64, 10), (1.0, 7, 10), (1.0, 64, 1)]
@@ -88,7 +100,7 @@ class TestValidateMesh:
         mesh = build_disk_mesh(1.0, 16, 3)
         tris = np.array(mesh.triangles)
         tris[5] = tris[5][::-1]
-        bad = DomainMesh.from_arrays(mesh.vertices, tris, mesh.boundary_loop)
+        bad = DomainMesh(mesh.vertices, tris, mesh.boundary_loop)
         report = validate_mesh(bad)
         assert not report.ok
         assert any("triangle 5" in v for v in report.violations)
@@ -99,17 +111,30 @@ class TestValidateMesh:
         # slide one boundary vertex along the polygon: two cells change length
         i = mesh.boundary_loop[4]
         verts[i] = 0.6 * verts[i] + 0.4 * verts[mesh.boundary_loop[5]]
-        bad = DomainMesh.from_arrays(verts, mesh.triangles, mesh.boundary_loop)
+        bad = DomainMesh(verts, mesh.triangles, mesh.boundary_loop)
         report = validate_mesh(bad)
         assert not report.ok
         assert any("equal-arclength" in v for v in report.violations)
 
     def test_frame_orthonormal(self):
         mesh = build_disk_mesh(1.0, 32, 4)
-        dots = np.einsum("cd,cd->c", mesh.boundary_tangents, mesh.boundary_normals)
-        assert np.max(np.abs(dots)) < 1e-12
-        assert np.allclose(np.hypot(*mesh.boundary_tangents.T), 1.0, atol=1e-12)
-        assert np.allclose(np.hypot(*mesh.boundary_normals.T), 1.0, atol=1e-12)
+        t = mesh.boundary_tangents
+        assert np.allclose(np.hypot(*t.T), 1.0, atol=1e-12)
+        # the tangent turned by -90 degrees is the outward unit normal
+        a = mesh.vertices[mesh.boundary_loop]
+        b = mesh.vertices[np.roll(mesh.boundary_loop, -1)]
+        assert np.allclose(t * mesh.boundary_weights[:, None], b - a,
+                           rtol=0, atol=1e-15)
+        normals = np.column_stack([t[:, 1], -t[:, 0]])
+        assert np.einsum("cd,cd->c", 0.5 * (a + b), normals).min() > 0
+
+    @pytest.mark.parametrize("mesh", [build_disk_mesh(1.0, 16, 3),
+                                      build_square_mesh(1.0, 4)],
+                             ids=["disk", "square"])
+    def test_clockwise_loop_detected(self, mesh):
+        bad = DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop[::-1])
+        violations = validate_mesh(bad).violations
+        assert len(violations) == 1 and "not counter-clockwise" in violations[0]
 
     def test_mesh_immutable(self):
         mesh = build_disk_mesh(1.0, 16, 3)

@@ -14,7 +14,6 @@ from plapopt.solver import (
     MAX_NEWTON_ITERS,
     NEWTON_TOL,
     SolveConfig,
-    StateField,
     energy,
     functional_I,
     functional_J,
@@ -281,8 +280,8 @@ class TestSolve:
     def test_trace_recomputable(self, disk):
         f = LoadField.constant(disk, 1.0)
         u, _ = solve(disk, f, SolveConfig(p=2.0))
-        rebuilt = StateField.from_nodal(disk, u.nodal_values, u.p, u.epsilon)
-        assert np.max(np.abs(rebuilt.boundary_trace - u.boundary_trace)) < 1e-12
+        rebuilt = P1Space.of(disk).trace_average(u.nodal_values)
+        assert np.max(np.abs(rebuilt - u.boundary_trace)) < 1e-12
 
     def test_nonconvergence_returns_partial_state(self, disk, monkeypatch):
         f = LoadField.constant(disk, 1.0)
