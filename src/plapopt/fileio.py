@@ -110,6 +110,13 @@ def read_mesh(path) -> DomainMesh:
             raise ValueError("token count mismatch")
     except ValueError as exc:
         raise MeshFormatError(f"{path}: malformed mesh file ({exc})") from exc
+    for what, idx in (("triangle", triangles), ("boundary loop", loop)):
+        bad = idx[(idx < 0) | (idx >= n_v)]
+        if bad.size:
+            raise MeshFormatError(
+                f"{path}: {what} names vertex {bad[0]}, "
+                f"but the mesh has {n_v} vertices"
+            )
     return DomainMesh(vertices, triangles, loop)
 
 

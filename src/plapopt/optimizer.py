@@ -60,6 +60,8 @@ class IterationRecord:
     duality_gap: float
     defect: float
     changed: bool
+    newton_steps: int  # summed over the solve's eps stages
+    factorizations: int
 
 
 @dataclass
@@ -110,7 +112,7 @@ def _run_single(mesh, f, rclass, config, restart, history):
                 f"state solve failed at restart {restart}, iteration {it}: "
                 f"residual {report.final_residual:.3e}"
             )
-        u_prev = state.nodal_values
+        u_prev = state  # the next solve starts here, with this state's factor
         J = report.J
         trace = state.boundary_trace
         f_next = best_response(rclass, trace)
@@ -123,6 +125,8 @@ def _run_single(mesh, f, rclass, config, restart, history):
                 duality_gap=report.duality_gap,
                 defect=comonotonicity_defect(f, trace),
                 changed=changed,
+                newton_steps=sum(report.iterations_per_stage),
+                factorizations=report.factorizations,
             )
         )
         result = (f, state, J)

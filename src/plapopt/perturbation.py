@@ -350,7 +350,8 @@ def _converged_solve(mesh, f, config, u_init, what):
 def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
                             config: SolveConfig, t=1e-3, u_init=None):
     """Central difference (J(f_t) - J(f_{-t})) / (2t) with full solves at
-    the exactly-transported loads."""
+    the exactly-transported loads, both warm-started from ``u_init`` (a
+    ``StateField`` also hands over its factor) if given."""
     if t <= 0:
         raise ValueError("finite-difference step t must be positive")
     Js = []
@@ -389,7 +390,7 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
             continue
         ft = transport_load(mesh, f, field, t)
         ut, _ = _converged_solve(
-            mesh, ft, config, u0.nodal_values, f"transported solve at t={t:g}"
+            mesh, ft, config, u0, f"transported solve at t={t:g}"
         )
         diff = ut.nodal_values - u0.nodal_values
         gterm, mterm = space.integrate_lp(diff, p)
@@ -450,7 +451,7 @@ def derivative_report(mesh, f: LoadField, field: TangentField,
         "surfdiv": deriv_surfdiv_formula(mesh, u0, f, field),
         "bvjump": deriv_bvjump_formula(mesh, u0, f, field),
         "findiff": deriv_finite_difference(
-            mesh, f, field, config, t, u_init=u0.nodal_values
+            mesh, f, field, config, t, u_init=u0
         ),
     }
     return DerivativeReport(

@@ -99,6 +99,19 @@ class TestSolveCommand:
         assert "not counter-clockwise" in capsys.readouterr().err
         assert not os.path.exists("s.json")
 
+    def test_out_of_range_vertex_is_config_error(self, workdir, capsys):
+        assert main(["mesh", "--n", "8", "--out", "m.txt"]) == EXIT_OK
+        mesh = read_mesh("m.txt")
+        write_load("f.txt", binary_load(mesh, 4))
+        lines = (workdir / "m.txt").read_text().splitlines()
+        lines[-1] = " ".join(["999"] + lines[-1].split()[1:])
+        (workdir / "bad.txt").write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--mesh", "bad.txt", "--load", "f.txt",
+                   "--p", "2.0", "--out", "s.json"])
+        assert rc == EXIT_CONFIG
+        assert "names vertex 999, but the mesh has 17 vertices" in capsys.readouterr().err
+        assert not os.path.exists("s.json")
+
     def test_missing_mesh_is_config_error(self, workdir):
         rc = main(["solve", "--mesh", "nope.txt", "--load", "nope.txt",
                    "--p", "2.0", "--out", "s.json"])
@@ -147,6 +160,15 @@ class TestOptimizeCommand:
             summary = json.load(fh)
         assert summary["seed"] == 3
         assert len(summary["restarts"]) == 2
+
+    def test_history_counts_solver_work(self, workdir, mesh_file, load_file):
+        assert main(["optimize", "--mesh", str(mesh_file), "--load0", str(load_file),
+                     "--p", "1.5", "--out", "run"]) == EXIT_OK
+        rows = (workdir / "run" / "history.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        assert header[-2:] == ["newton_steps", "factorizations"]
+        steps = [int(row.split(",")[-2]) for row in rows[1:]]
+        assert steps[0] > 0 and all(s < steps[0] for s in steps[1:])
 
     def test_different_seed_changes_history(self, workdir, mesh_file, load_file):
         base = ["optimize", "--mesh", str(mesh_file), "--load0", str(load_file),

@@ -53,6 +53,23 @@ class TestMeshFormat:
         with pytest.raises(MeshFormatError, match="malformed"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("part, index", [("loop", 999), ("loop", -1),
+                                             ("triangle", 17)])
+    def test_vertex_index_out_of_range_rejected(self, tmp_path, part, index):
+        mesh = build_disk_mesh(1.0, 8, 2)
+        assert mesh.n_vertices == 17
+        path = tmp_path / "m.txt"
+        write_mesh(path, mesh)
+        lines = path.read_text().splitlines()
+        row = -1 if part == "loop" else 1 + mesh.n_vertices
+        cols = lines[row].split()
+        cols[0] = str(index)
+        lines[row] = " ".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError,
+                           match=f"names vertex {index}, but the mesh has 17"):
+            read_mesh(path)
+
 
 class TestLoadFormat:
     def test_roundtrip_exact(self, tmp_path):

@@ -98,6 +98,19 @@ class TestMaximize:
         assert last.defect == 0.0
         assert not last.changed
 
+    def test_records_count_solver_work(self, small_disk):
+        # each record carries its solve's Newton steps and factorizations;
+        # the solves after the first start warm from the previous state
+        f0 = step_load(small_disk, [0.0, 0.5, 1.0])
+        _, _, hist = maximize_over_rearrangements(small_disk, f0, _config(1.5))
+        recs = hist.per_restart(0)
+        assert len(recs) >= 2
+        _, cold = solve(small_disk, f0, SolveConfig(p=1.5))
+        assert recs[0].newton_steps == sum(cold.iterations_per_stage)
+        assert recs[0].factorizations == cold.factorizations
+        for rec in recs[1:]:
+            assert rec.newton_steps < recs[0].newton_steps
+
 
 class TestOptimizeConfig:
     def test_config_validation(self):

@@ -7,7 +7,7 @@ from plapopt import fem, solver
 from plapopt.acceptance import STEP_LEVELS
 from plapopt.fem import TRI_QP, P1Space
 from plapopt.geometry import build_disk_mesh, triangle_signed_areas
-from plapopt.perturbation import derivative_report, tangent_field
+from plapopt.perturbation import derivative_report, tangent_field, transport_load
 from plapopt.rearrangement import LoadField, random_step_load, step_load
 from plapopt.solver import (
     EPS_INITIAL,
@@ -399,6 +399,105 @@ class TestNewtonSystems:
         assert rep.converged
         assert rep.cg_iterations == 0
         assert rep.factorizations == sum(rep.iterations_per_stage) > 0
+
+
+@pytest.fixture(scope="module", params=[1.5, 2.0, 3.0])
+def neighbours(request, disk):
+    """Criterion 1's step load solved cold, and the same load moved by a
+    finite-difference step of derivative_report (sin:1, t = 1e-3)."""
+    f = step_load(disk, STEP_LEVELS)
+    ft = transport_load(disk, f, tangent_field("sin:1", disk.total_boundary_length), 1e-3)
+    cfg = SolveConfig(p=request.param)
+    state, rep = solve(disk, f, cfg)
+    assert rep.converged
+    return ft, cfg, state, solve(disk, ft, cfg)[1]
+
+
+class TestWarmStart:
+    def test_own_state_takes_no_step(self, disk, neighbours):
+        _, cfg, state, _ = neighbours
+        f = step_load(disk, STEP_LEVELS)
+        again, rep = solve(disk, f, cfg, u_init=state)
+        assert rep.eps_stages == [cfg.eps_final]
+        assert rep.iterations_per_stage == [0]
+        assert rep.factorizations == rep.cg_iterations == 0
+        assert rep.J == solve(disk, f, cfg)[1].J
+        assert np.array_equal(again.nodal_values, state.nodal_values)
+        assert again.factor is state.factor
+
+    def test_neighbouring_load_in_one_stage(self, disk, neighbours):
+        ft, cfg, state, cold = neighbours
+        _, rep = solve(disk, ft, cfg, u_init=state)
+        assert rep.converged
+        assert rep.eps_stages == [cfg.eps_final]
+        assert rep.stage_exits == ["converged"]
+        assert 0 < rep.iterations_per_stage[0] <= solver.WARM_MAX_ITERS
+        assert abs(rep.J - cold.J) <= 1e-6 * (1.0 + abs(cold.J))
+        assert rep.duality_gap <= 1e-6 * (1.0 + abs(rep.J))
+        assert sum(rep.iterations_per_stage) <= sum(cold.iterations_per_stage)
+
+    @pytest.mark.parametrize("neighbours", [2.0], indirect=True)
+    def test_handed_factor_spares_the_p2_factorization(self, disk, neighbours):
+        # at p = 2 the Hessian does not depend on u: the handed factor is
+        # exact, and CG needs one iteration
+        ft, cfg, state, _ = neighbours
+        assert state.factor is not None
+        _, rep = solve(disk, ft, cfg, u_init=state)
+        assert rep.converged
+        assert rep.factorizations == 0
+        assert rep.cg_iterations >= 1
+
+    def test_only_a_state_at_the_same_p_hands_its_factor(self, disk, neighbours):
+        ft, cfg, state, _ = neighbours
+        other_p = 3.0 if cfg.p != 3.0 else 2.0
+        elsewhere, _ = solve(disk, step_load(disk, STEP_LEVELS), SolveConfig(p=other_p))
+        for start in (elsewhere, state.nodal_values):
+            _, rep = solve(disk, ft, cfg, u_init=start)
+            assert rep.converged
+            assert rep.factorizations >= 1  # the first step factors afresh
+
+    # a linear problem (p = 2) needs one step, within any budget
+    @pytest.mark.parametrize("neighbours", [1.5, 3.0], indirect=True)
+    def test_missed_warm_stage_runs_the_full_schedule(self, disk, neighbours, monkeypatch):
+        ft, cfg, state, cold = neighbours
+        monkeypatch.setattr(solver, "WARM_MAX_ITERS", 1)
+        _, rep = solve(disk, ft, cfg, u_init=state)
+        assert rep.converged
+        assert rep.eps_stages == [cfg.eps_final] + cold.eps_stages
+        assert rep.stage_exits[0] == "cap"
+        assert rep.iterations_per_stage[0] == 1
+        assert rep.stage_exits[1:] == ["converged"] * len(cold.eps_stages)
+        assert abs(rep.J - cold.J) <= 1e-6 * (1.0 + abs(cold.J))
+
+    # a linear problem (p = 2) needs one step, within any budget
+    @pytest.mark.parametrize("neighbours", [1.5, 3.0], indirect=True)
+    def test_budget_honours_the_newton_cap(self, disk, neighbours, monkeypatch):
+        # the warm budget is min(WARM_MAX_ITERS, MAX_NEWTON_ITERS), read
+        # at call time
+        ft, cfg, state, _ = neighbours
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+        _, rep = solve(disk, ft, cfg, u_init=state)
+        assert rep.stage_exits[0] == "cap"
+        assert max(rep.iterations_per_stage) == 1
+
+    def test_identical_calls_agree_bitwise(self, disk, neighbours):
+        ft, cfg, state, _ = neighbours
+        a, ra = solve(disk, ft, cfg, u_init=state)
+        b, rb = solve(disk, ft, cfg, u_init=state)
+        assert np.array_equal(a.nodal_values, b.nodal_values)
+        assert ra.J == rb.J and ra.iterations_per_stage == rb.iterations_per_stage
+
+    def test_factor_stays_out_of_repr_and_direct_states(self, neighbours):
+        _, _, state, _ = neighbours
+        assert "factor" not in repr(state)
+        mesh = build_disk_mesh(1.0, 8, 2)
+        small, _ = solve(mesh, step_load(mesh, STEP_LEVELS), SolveConfig(p=1.5))
+        assert small.factor is None
+
+    def test_wrong_size_start_rejected(self, disk):
+        with pytest.raises(ValueError, match="state has 3 values"):
+            solve(disk, LoadField.constant(disk, 1.0), SolveConfig(p=2.0),
+                  u_init=np.zeros(3))
 
 
 class TestFunctionals:
