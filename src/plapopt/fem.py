@@ -7,12 +7,23 @@ boundary quadrature uses 2-point Gauss per cell. Gradients of P1 fields
 are constant per triangle.
 
 A space is built once per mesh (``P1Space.of``) and kept on the mesh.
+It holds two fixed sparse operators: G (2 n_t x n) maps nodal values to
+the gradient on every triangle (``gradient``), Q (3 n_t x n) to the
+values at every quadrature point (``values_at_qp``); the residual
+applies their transposes. An ``Evaluation`` of a field u at (p, eps)
+holds the images G u and Q u, s = |grad u|^2 + eps^2, m = u^2 + eps^2
+and one power of each, s^{p/2} and m^{p/2}; energy, residual and
+Hessian all derive their coefficients from it, so a Newton iterate is
+evaluated once for all three. The images are linear in u, so a
+line-search trial u + alpha d is evaluated from those of u and d
+without another product.
+
 The sparsity pattern of the Hessian is fixed by the mesh, so the space
 precomputes it in compressed-column form together with the map that
-scatters every local element entry into its slot; each Newton step then
-only computes the entry values and sums them with one ``bincount``.
-The stiffness matrix of ``harmonic_extension`` is summed into the same
-pattern.
+scatters every local element entry (held as a (9, n_t) array) into its
+slot; each Newton step then only computes the entry values and sums
+them with one ``bincount``. The stiffness matrix of
+``harmonic_extension`` is summed into the same pattern.
 The Hessian is symmetric positive definite with a symmetric pattern, so
 the solver orders its sparse LU (the direct solve of a small system, or
 the factor it keeps for a whole solve as CG's preconditioner) by minimum
@@ -38,17 +49,47 @@ EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_QW = np.array([0.5, 0.5])
 
 
-def _power(s, e):
-    """s**e where s > 0 and 0 where s = 0, for s >= 0.
+def _over(a, s, eps):
+    """a / s, and 0 where s = 0.
 
-    s = |grad u|^2 + eps^2 or u^2 + eps^2 is 0 only where eps = 0 and the
-    gradient or the value vanishes. The residual multiplies s**e by that
-    vanishing factor, so 0 is the correct limit even where e < 0.
-    The masked power is slower than the plain one, so it serves only
-    arrays that contain a zero; with eps > 0 none do."""
-    if s.min() > 0.0:
-        return s ** e
-    return np.power(s, e, out=np.zeros_like(s), where=s > 0.0)
+    s = |grad u|^2 + eps^2 or u^2 + eps^2 is at least eps^2, so it is 0
+    only where eps = 0 and the gradient or the value vanishes. Each
+    quotient is multiplied by that vanishing factor, so 0 is the correct
+    limit there. The masked division is slower than the plain one, so it
+    serves only eps = 0."""
+    if eps * eps > 0.0:
+        return a / s
+    return np.divide(a, s, out=np.zeros_like(s), where=s > 0.0)
+
+
+class Evaluation:
+    """A nodal field u evaluated at one (p, eps): its images under the
+    space's operators and the powers that energy, residual and Hessian
+    share.
+
+    ``grad`` (2, n_t) is G u, the gradient on every triangle; ``uq``
+    (3, n_t) is Q u, the value at every quadrature point. With
+    s = |grad u|^2 + eps^2 and m = u^2 + eps^2 it holds ``sp`` = s^{p/2}
+    and ``mp`` = m^{p/2}, one power per field. The images are linear in
+    u, so ``along`` evaluates u + alpha d from the images of d without
+    touching the mesh."""
+
+    __slots__ = ("grad", "uq", "p", "eps", "s", "m", "sp", "mp")
+
+    def __init__(self, grad, uq, p, eps):
+        e2 = eps * eps
+        self.grad, self.uq, self.p, self.eps = grad, uq, p, eps
+        self.s = grad[0] * grad[0] + grad[1] * grad[1] + e2
+        self.m = uq * uq + e2
+        self.sp = self.s ** (p / 2.0)
+        self.mp = self.m ** (p / 2.0)
+
+    def along(self, images, alpha):
+        """The evaluation of u + alpha d, given ``images`` = (G d, Q d)."""
+        grad, uq = images
+        return Evaluation(
+            self.grad + alpha * grad, self.uq + alpha * uq, self.p, self.eps
+        )
 
 
 class P1Space:
@@ -59,10 +100,10 @@ class P1Space:
 
     def __init__(self, mesh):
         tri = mesh.triangles
+        n_t = tri.shape[0]
         # The space keeps the mesh's arrays, not the mesh: the mesh holds
         # its cached space (see ``of``), and no reference cycle must keep
         # either alive past the other.
-        self.triangles = tri
         self.n = mesh.n_vertices
         self.boundary_weights = mesh.boundary_weights
         self.cell_starts = mesh.cell_starts
@@ -71,22 +112,39 @@ class P1Space:
         d2 = p[:, 2] - p[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         self.areas = 0.5 * det  # positive for CCW triangles
-        # grads[t, i, :] = gradient of the hat function of local vertex i.
-        g = np.empty((tri.shape[0], 3, 2))
-        g[:, 1, 0] = d2[:, 1] / det
-        g[:, 1, 1] = -d2[:, 0] / det
-        g[:, 2, 0] = -d1[:, 1] / det
-        g[:, 2, 1] = d1[:, 0] / det
-        g[:, 0] = -g[:, 1] - g[:, 2]
-        self.grads = g
-        self.qweights = self.areas[:, None] * TRI_QW[None, :]
+        # hat[d, i, t] = d/dx_d of the hat function of local vertex i.
+        hat = np.empty((2, 3, n_t))
+        hat[0, 1] = d2[:, 1] / det
+        hat[1, 1] = -d2[:, 0] / det
+        hat[0, 2] = -d1[:, 1] / det
+        hat[1, 2] = d1[:, 0] / det
+        hat[:, 0] = -hat[:, 1] - hat[:, 2]
+        self._hat = hat
+        self.qweights = TRI_QW[:, None] * self.areas[None, :]  # (3, n_t)
 
-        # Local Hessian entry 3i+j of triangle t couples tri[t, i] (row)
-        # and tri[t, j] (column); the pattern is fixed by the mesh.
-        self._gg = np.einsum("tid,tjd->tij", g, g).reshape(-1, 9)
-        self._qq = (TRI_QP[:, :, None] * TRI_QP[:, None, :]).reshape(3, 9)
-        rows = np.repeat(tri, 3, axis=1).ravel().astype(np.int64)
-        cols = np.tile(tri, (1, 3)).ravel().astype(np.int64)
+        # G (row d n_t + t: component d of the gradient on triangle t) and
+        # Q (row q n_t + t: the value at quadrature point q of triangle t)
+        # give each row three entries, in the columns of the triangle's
+        # vertices. Their transposes share their arrays.
+        def operator(values):
+            k = values.shape[0]
+            return sparse.csr_matrix(
+                (values.ravel(), np.tile(tri.ravel(), k).astype(np.intc),
+                 np.arange(0, 3 * k * n_t + 1, 3, dtype=np.intc)),
+                shape=(k * n_t, self.n),
+            )
+
+        self.G = operator(hat.transpose(0, 2, 1))
+        self.Q = operator(np.repeat(TRI_QP[:, None, :], n_t, axis=1))
+        self._Gt, self._Qt = self.G.T, self.Q.T
+
+        # Local Hessian entry 3i+j of triangle t, stored at [3i+j, t],
+        # couples tri[t, i] (row) and tri[t, j] (column); the pattern is
+        # fixed by the mesh.
+        self._gg = np.einsum("dit,djt->ijt", hat, hat).reshape(9, n_t)
+        self._qq = (TRI_QP[:, :, None] * TRI_QP[:, None, :]).reshape(3, 9).T
+        rows = np.repeat(tri, 3, axis=1).T.ravel().astype(np.int64)
+        cols = np.tile(tri, (1, 3)).T.ravel().astype(np.int64)
         # Sorting by col*n + row gives CSC order; the inverse index maps
         # every local entry to its slot in the CSC data array.
         keys, self._csc_map = np.unique(cols * self.n + rows, return_inverse=True)
@@ -111,65 +169,70 @@ class P1Space:
         return space
 
     def gradient(self, u):
-        """Per-triangle constant gradient of the nodal field u; (n_t, 2)."""
-        return np.einsum("ti,tid->td", u[self.triangles], self.grads)
+        """G u, the gradient of the nodal field u on every triangle;
+        (2, n_t), and (2, n_t, k) for the k columns of a u of shape (n, k)."""
+        return (self.G @ u).reshape((2, -1) + np.shape(u)[1:])
 
     def values_at_qp(self, u):
-        """u at the volume quadrature points; (n_t, 3)."""
-        return u[self.triangles] @ TRI_QP.T
+        """Q u, the values of the nodal field u at the volume quadrature
+        points; (3, n_t)."""
+        return (self.Q @ u).reshape(3, -1)
 
-    def integrate_lp(self, u, p, eps=0.0):
+    def images(self, u):
+        """(G u, Q u), from which an ``Evaluation`` starts."""
+        return self.gradient(u), self.values_at_qp(u)
+
+    def evaluate(self, u, p, eps):
+        """The ``Evaluation`` of the nodal field u at (p, eps)."""
+        return Evaluation(*self.images(u), p, eps)
+
+    def integrate_lp(self, u, p, eps=0.0, at=None):
         """(integral of (|grad u|^2 + eps^2)^{p/2}, integral of
         (u^2 + eps^2)^{p/2}) over the domain; eps = 0 gives the integrals
-        of |grad u|^p and |u|^p."""
-        e2 = eps * eps
-        g = self.gradient(u)
-        g2 = np.einsum("td,td->t", g, g)
-        grad_term = float(self.areas @ (g2 + e2) ** (p / 2.0))
-        uq = self.values_at_qp(u)
-        mass_term = float(np.sum(self.qweights * (uq * uq + e2) ** (p / 2.0)))
-        return grad_term, mass_term
+        of |grad u|^p and |u|^p. ``at`` is u's evaluation at (p, eps),
+        if the caller has it."""
+        if at is None:
+            at = self.evaluate(u, p, eps)
+        return float(self.areas @ at.sp), float(np.vdot(self.qweights, at.mp))
 
-    def energy(self, u, b, p, eps):
-        """(1/p) int (|grad u|^2 + eps^2)^{p/2} + (u^2 + eps^2)^{p/2} dx - b.u"""
-        grad_term, mass_term = self.integrate_lp(u, p, eps)
+    def energy(self, u, b, p, eps, at=None):
+        """(1/p) int (|grad u|^2 + eps^2)^{p/2} + (u^2 + eps^2)^{p/2} dx - b.u
+
+        ``at``, here and in ``residual`` and ``hessian``, is u's
+        ``Evaluation`` at (p, eps); without it u is evaluated afresh."""
+        grad_term, mass_term = self.integrate_lp(u, p, eps, at)
         return (grad_term + mass_term) / p - float(b @ u)
 
-    def residual(self, u, b, p, eps):
-        """Gradient of ``energy`` with respect to the nodal values."""
-        e2 = eps * eps
-        g = self.gradient(u)
-        coef = _power(np.einsum("td,td->t", g, g) + e2, (p - 2.0) / 2.0)
-        # (n_t, 3): d/du_i of the gradient part on each triangle
-        flux = np.einsum("t,tid,td->ti", self.areas * coef, self.grads, g)
-        uq = self.values_at_qp(u)
-        mass = self.qweights * uq * _power(uq * uq + e2, (p - 2.0) / 2.0)
-        local = flux + mass @ TRI_QP
-        r = np.bincount(
-            self.triangles.ravel(), weights=local.ravel(), minlength=self.n
-        )
-        return r - b
+    def residual(self, u, b, p, eps, at=None):
+        """Gradient of ``energy`` with respect to the nodal values:
+        G^T (areas s^{(p-2)/2} grad u) + Q^T (weights m^{(p-2)/2} u) - b."""
+        if at is None:
+            at = self.evaluate(u, p, eps)
+        flux = (self.areas * _over(at.sp, at.s, eps)) * at.grad
+        mass = self.qweights * _over(at.mp, at.m, eps) * at.uq
+        return self._Gt @ flux.ravel() + self._Qt @ mass.ravel() - b
 
-    def hessian(self, u, p, eps):
+    def hessian(self, u, p, eps, at=None):
         """Sparse Hessian of ``energy``; exact, and SPD for 1 < p and
         eps > 0."""
-        e2 = eps * eps
-        g = self.gradient(u)
-        s = np.einsum("td,td->t", g, g) + e2
-        c1 = self.areas * _power(s, (p - 2.0) / 2.0)
-        c2 = self.areas * (p - 2.0) * _power(s, (p - 4.0) / 2.0)
-        bg = np.einsum("tid,td->ti", self.grads, g)  # (n_t, 3)
-        bgbg = (bg[:, :, None] * bg[:, None, :]).reshape(-1, 9)
-        uq = self.values_at_qp(u)
-        u2 = uq * uq
-        # (u^2 + eps^2)^{(p-4)/2} ((p-1) u^2 + eps^2), the derivative of the
-        # residual's mass term u (u^2 + eps^2)^{(p-2)/2}
-        w = self.qweights * _power(u2 + e2, (p - 4.0) / 2.0) * ((p - 1.0) * u2 + e2)
-        local = c1[:, None] * self._gg + c2[:, None] * bgbg + w @ self._qq
+        if at is None:
+            at = self.evaluate(u, p, eps)
+        c1 = self.areas * _over(at.sp, at.s, eps)
+        c2 = (p - 2.0) * _over(c1, at.s, eps)
+        bg = self._hat[0] * at.grad[0] + self._hat[1] * at.grad[1]  # (3, n_t)
+        bgbg = (bg[:, None] * bg[None, :]).reshape(9, -1)
+        bgbg *= c2
+        # m^{(p-4)/2} ((p-1) u^2 + eps^2), the derivative of the
+        # residual's mass term u m^{(p-2)/2}
+        cq = _over(_over(at.mp, at.m, eps), at.m, eps)
+        w = self.qweights * cq * ((p - 1.0) * at.uq * at.uq + eps * eps)
+        local = self._qq @ w
+        local += c1 * self._gg
+        local += bgbg
         return self._assemble(local)
 
     def _assemble(self, local):
-        """Sum the (n_t, 9) local element matrices into the fixed CSC
+        """Sum the (9, n_t) local element matrices into the fixed CSC
         pattern."""
         data = np.bincount(
             self._csc_map, weights=local.ravel(), minlength=self._csc_indices.size
@@ -188,7 +251,7 @@ class P1Space:
         interior block is factored on first use and kept on the space.
         """
         if self._harmonic is None:
-            K = self._assemble(self.areas[:, None] * self._gg)
+            K = self._assemble(self.areas * self._gg)
             interior = np.setdiff1d(np.arange(self.n), self.edge_a)
             K_I = K[interior]
             lu = splu(K_I[:, interior], permc_spec="MMD_AT_PLUS_A")

@@ -279,20 +279,19 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     tau = tang + np.roll(tang, 1, axis=0)  # cells c-1 and c meet at vertex c
     tau /= np.linalg.norm(tau, axis=1)[:, None]
     V = space.harmonic_extension(field.speed(mesh.cell_starts[:-1])[:, None] * tau)
-    Jac = np.einsum("tid,tie->tde", V[space.triangles], space.grads)  # dV_d/dx_e
-    divV = np.trace(Jac, axis1=1, axis2=2)
+    Jac = space.gradient(V).transpose(2, 0, 1)  # Jac[d, e] = dV_d/dx_e
+    divV = Jac[0, 0] + Jac[1, 1]
 
-    g = space.gradient(u)  # (n_t, 2), constant per triangle
-    g2 = np.einsum("td,td->t", g, g)
+    at = space.evaluate(u, p, 0.0)
+    g, g2 = at.grad, at.s  # (2, n_t) and |grad u|^2, constant per triangle
     # |g|^{p-2} (g . V' g) -> 0 as g -> 0 for p > 1: zero the flat triangles
     with np.errstate(divide="ignore"):
         gpm2 = np.where(g2 > 0.0, g2 ** ((p - 2.0) / 2.0), 0.0)
     # int |grad u|^{p-2} <grad u, V' grad u>
-    quad_form = np.einsum("td,tde,te->t", g, Jac, g)
+    quad_form = np.einsum("dt,det,et->t", g, Jac, g)
     t2 = float(space.areas @ (gpm2 * quad_form))
     # int (|grad u|^p + |u|^p) div V
-    uq = space.values_at_qp(u)
-    dens = space.areas * g2 ** (p / 2.0) + np.sum(space.qweights * np.abs(uq) ** p, axis=1)
+    dens = space.areas * at.sp + np.sum(space.qweights * at.mp, axis=0)
     t3 = float(dens @ divV)
     # boundary term: int u0 f div_tau V ds, div_tau V = v'(s) on the chart
     sg = space.boundary_gauss_points()

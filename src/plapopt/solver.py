@@ -13,9 +13,10 @@ is the Euler-Lagrange equation of
 
 which is minimized with damped Newton iterations inside a geometric
 continuation loop driving eps from EPS_INITIAL to eps_final by factors of
-EPS_FACTOR, each stage starting from the last. eps regularizes both terms
-alike, so the energy is smooth and its Hessian exact and SPD for every
-eps > 0. The limit eps -> 0 recovers the p-Laplacian problem.
+EPS_FACTOR, each stage starting from the last; the last stage runs at
+eps_final exactly. eps regularizes both terms alike, so the energy is
+smooth and its Hessian exact and SPD for every eps > 0. The limit
+eps -> 0 recovers the p-Laplacian problem.
 
 A warm start (a given ``u_init``, typically the solution for a nearby
 load) skips the continuation: its first stage runs directly at
@@ -38,6 +39,13 @@ Below PCG_MIN_VERTICES a factorization is as cheap as a few CG
 iterations, and every step is a direct ``spsolve``. The stop test, the
 line search and the steepest-descent fallback are the same on both
 paths.
+
+Each Newton iterate is evaluated once (``P1Space.evaluate``): its
+energy, residual, Hessian and stop test share its images and powers.
+Line-search trials u + alpha d are evaluated from the images of u and
+d. An accepted trial is evaluated afresh from its nodal values, so the
+residual that stops a stage and ``SolveReport.final_residual`` are
+those of the state returned.
 
 The boundary functional J(f) = int f u_f ds equals, at the solution, the
 supremum of
@@ -213,6 +221,18 @@ def residual(mesh, u, f, p, eps):
     return P1Space.of(mesh).residual(_nodal(u), _load_vector(mesh, f), p, eps)
 
 
+def _eps_schedule(eps_final):
+    """The eps of every stage of a cold solve: EPS_INITIAL, shrunk by
+    EPS_FACTOR per stage, ending exactly at eps_final. A product within
+    rounding of eps_final (EPS_INITIAL * EPS_FACTOR^7 is
+    1.0000000000000005e-08) is eps_final, so no stage repeats the last."""
+    stages = [EPS_INITIAL]
+    while stages[-1] > eps_final:
+        eps = stages[-1] * EPS_FACTOR
+        stages.append(eps_final if eps <= eps_final * (1.0 + 1e-9) else eps)
+    return stages
+
+
 def _pcg(H, rhs, lu, rtol):
     """CG on H x = rhs from x = 0, preconditioned by the LU factor ``lu``.
 
@@ -273,14 +293,15 @@ def _newton_stage(space, u, b, p, eps, systems, max_iters):
     Returns (u, iterations, fallbacks, residual_norm, reason), where
     reason is "converged", "cap" or "stall" (see ``SolveReport.stage_exits``)."""
     fallbacks = 0
-    r = space.residual(u, b, p, eps)
+    at = space.evaluate(u, p, eps)
+    E = space.energy(u, b, p, eps, at)
+    r = space.residual(u, b, p, eps, at)
     rnorm = np.linalg.norm(r)
-    E = space.energy(u, b, p, eps)
     eta = ETA_MAX
     for it in range(max_iters):
         if rnorm <= NEWTON_TOL:
             return u, it, fallbacks, rnorm, "converged"
-        H = space.hessian(u, p, eps)
+        H = space.hessian(u, p, eps, at)
         with np.errstate(all="ignore"):
             d = systems.solve(H, -r, eta)
         slope = float(r @ d)
@@ -288,21 +309,29 @@ def _newton_stage(space, u, b, p, eps, systems, max_iters):
             d = -r  # singular or non-descent direction: steepest descent
             slope = -float(rnorm * rnorm)
             fallbacks += 1
+        # the images are linear in u: every trial is evaluated from those
+        # of u and d
+        images = space.images(d)
         alpha = 1.0
         # rounding slack: near the minimum the true energy decrease falls
         # below float resolution while the step is still productive
         slack = 1e-14 * (1.0 + abs(E))
         for _ in range(80):
             u_try = u + alpha * d
-            E_try = space.energy(u_try, b, p, eps)
+            E_try = space.energy(u_try, b, p, eps, at.along(images, alpha))
             if np.isfinite(E_try) and E_try <= E + ARMIJO * alpha * slope + slack:
                 break
             alpha *= LINE_SEARCH_SHRINK
         else:
             # Energy cannot decrease along d within machine steps.
             return u, it + 1, fallbacks, rnorm, "stall"
-        u, E = u_try, E_try
-        r = space.residual(u, b, p, eps)
+        # The accepted iterate is evaluated afresh: the trial's images
+        # carry the rounding of every step taken, and the residual and
+        # stop test must hold at the u that is returned.
+        u = u_try
+        at = space.evaluate(u, p, eps)
+        E = space.energy(u, b, p, eps, at)
+        r = space.residual(u, b, p, eps, at)
         rnorm, rnorm_old = np.linalg.norm(r), rnorm
         # Eisenstat-Walker choice 2 (gamma 0.9, alpha 2). Its safeguard
         # max(eta, 0.9 eta_old^2) applies only while 0.9 eta_old^2 > 0.1,
@@ -359,12 +388,9 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
         budget = min(WARM_MAX_ITERS, MAX_NEWTON_ITERS)
         u, rnorm, reason = stage(u_start, config.eps_final, budget)
     if reason != "converged":
-        u, eps = u_start, EPS_INITIAL
-        while True:
+        u = u_start
+        for eps in _eps_schedule(config.eps_final):
             u, rnorm, _ = stage(u, eps, MAX_NEWTON_ITERS)
-            if eps <= config.eps_final:
-                break
-            eps = max(eps * EPS_FACTOR, config.eps_final)
     state = StateField(u, space.trace_average(u), p, config.eps_final, systems.lu)
     J = float(b @ u)
     I = _dual_I(space, u, J, p)

@@ -1,14 +1,17 @@
 """Independent reference computations used by the test suite.
 
 These deliberately avoid the package's FEM/assembly code paths: radially
-symmetric solutions come from 1D ODE shooting, small maximization
-problems from exhaustive enumeration, boundary step functions piece by
-piece in plain Python loops.
+symmetric solutions come from 1D ODE shooting, the P1 energy, residual
+and Hessian from per-triangle einsums over elements built from the
+vertex coordinates, small maximization problems from exhaustive
+enumeration, boundary step functions piece by piece in plain Python
+loops.
 """
 
 import itertools
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -126,3 +129,74 @@ def step_lq_distance(g1, g2, q):
         v2 = step_value(g2.breaks, g2.values, mid, L)
         total += abs(v1 - v2) ** q * (hi - lo)
     return total ** (1.0 / q)
+
+
+# The degree-2 triangle rule: barycentric permutations of
+# (2/3, 1/6, 1/6), each weighted by a third of the area.
+TRIANGLE_RULE = np.array([
+    [2 / 3, 1 / 6, 1 / 6],
+    [1 / 6, 2 / 3, 1 / 6],
+    [1 / 6, 1 / 6, 2 / 3],
+])
+
+
+def p1_elements(mesh):
+    """Areas (n_t,) and hat gradients (n_t, 3, 2) of every triangle, read
+    off the inverse of its matrix of rows [1, x_i, y_i]: column i of the
+    inverse holds the coefficients (a, b, c) of hat i = a + b x + c y."""
+    X = mesh.vertices[mesh.triangles]
+    M = np.concatenate([np.ones(X.shape[:2] + (1,)), X], axis=2)
+    grads = np.linalg.inv(M)[:, 1:, :].transpose(0, 2, 1)
+    return 0.5 * np.abs(np.linalg.det(M)), grads
+
+
+def _element_fields(mesh, u):
+    """Per-triangle gradient (n_t, 2) and quadrature values (n_t, 3) of
+    the nodal field u."""
+    areas, grads = p1_elements(mesh)
+    ut = u[mesh.triangles]
+    return areas, grads, np.einsum("ti,tid->td", ut, grads), ut @ TRIANGLE_RULE.T
+
+
+def reference_energy(mesh, u, b, p, eps):
+    """(1/p) int (|grad u|^2 + eps^2)^{p/2} + (u^2 + eps^2)^{p/2} dx - b.u,
+    triangle by triangle."""
+    areas, _, g, uq = _element_fields(mesh, u)
+    s = np.einsum("td,td->t", g, g) + eps * eps
+    m = uq * uq + eps * eps
+    volume = areas @ s ** (p / 2.0) + areas @ np.sum(m ** (p / 2.0), axis=1) / 3.0
+    return volume / p - b @ u
+
+
+def reference_residual(mesh, u, b, p, eps):
+    """Nodal gradient of ``reference_energy``: each triangle adds
+    area (s^{(p-2)/2} grad u . grad hat_i + mean_q m_q^{(p-2)/2} u_q hat_i(q))
+    to its vertex i. Needs eps > 0."""
+    areas, grads, g, uq = _element_fields(mesh, u)
+    s = np.einsum("td,td->t", g, g) + eps * eps
+    m = uq * uq + eps * eps
+    flux = np.einsum("t,tid,td->ti", areas * s ** ((p - 2.0) / 2.0), grads, g)
+    mass = (areas[:, None] / 3.0 * uq * m ** ((p - 2.0) / 2.0)) @ TRIANGLE_RULE
+    r = np.zeros(mesh.n_vertices)
+    np.add.at(r, mesh.triangles, flux + mass)
+    return r - b
+
+
+def reference_hessian(mesh, u, p, eps):
+    """Element-by-element COO assembly of the Hessian of
+    ``reference_energy``, with the exact mass coefficient
+    (u^2+eps^2)^{(p-4)/2}((p-1)u^2+eps^2). Needs eps > 0."""
+    areas, grads, g, uq = _element_fields(mesh, u)
+    s = np.einsum("td,td->t", g, g) + eps * eps
+    c1 = areas * s ** ((p - 2.0) / 2.0)
+    c2 = areas * (p - 2.0) * s ** ((p - 4.0) / 2.0)
+    bg = np.einsum("tid,td->ti", grads, g)
+    local = c1[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    local += c2[:, None, None] * np.einsum("ti,tj->tij", bg, bg)
+    m = uq * uq + eps * eps
+    w = areas[:, None] / 3.0 * m ** ((p - 4.0) / 2.0) * ((p - 1.0) * uq * uq + eps * eps)
+    local += np.einsum("tq,qi,qj->tij", w, TRIANGLE_RULE, TRIANGLE_RULE)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_vertices
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsc()

@@ -5,7 +5,7 @@ from scipy.special import iv
 
 from plapopt import fem, solver
 from plapopt.acceptance import STEP_LEVELS
-from plapopt.fem import TRI_QP, P1Space
+from plapopt.fem import P1Space
 from plapopt.geometry import build_disk_mesh, triangle_signed_areas
 from plapopt.perturbation import derivative_report, tangent_field, transport_load
 from plapopt.rearrangement import LoadField, random_step_load, step_load
@@ -21,7 +21,12 @@ from plapopt.solver import (
     solve,
 )
 
-from oracles import radial_trace
+from oracles import (
+    radial_trace,
+    reference_energy,
+    reference_hessian,
+    reference_residual,
+)
 
 
 # At p = 1.1 and load scale 1e3 |u| reaches 2e29, and one rounding of u
@@ -31,6 +36,10 @@ ABSOLUTE_STOP_FLOOR = pytest.mark.xfail(
     reason="NEWTON_TOL is below the residual's rounding floor; "
            "needs a scale-aware stop"
 )
+
+
+# exponents at which the kernels are compared with the oracles
+KERNEL_PS = [1.1, 1.5, 2.0, 3.0, 10.0]
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +74,40 @@ class TestEnergy:
             0.5 * (0.01 + 0.01) * disk_area, rel=1e-12
         )
 
+    @pytest.mark.parametrize("eps", [0.1, 1e-8])
+    @pytest.mark.parametrize("p", KERNEL_PS)
+    def test_matches_reference(self, disk, p, eps):
+        rng = np.random.default_rng(14)
+        u = 0.5 * rng.normal(size=disk.n_vertices)
+        b = 0.1 * rng.normal(size=disk.n_vertices)
+        E = P1Space.of(disk).energy(u, b, p, eps)
+        assert E == pytest.approx(reference_energy(disk, u, b, p, eps), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.1, 3.0])
+    def test_trial_from_images_matches_fresh_energy(self, disk, p):
+        # a line-search trial is evaluated from the images of u and d
+        rng = np.random.default_rng(15)
+        u, d = 0.5 * rng.normal(size=(2, disk.n_vertices))
+        b = 0.1 * rng.normal(size=disk.n_vertices)
+        space = P1Space.of(disk)
+        at, images = space.evaluate(u, p, 1e-8), space.images(d)
+        for alpha in (1.0, 0.5, 2.0 ** -20):
+            fresh = space.energy(u + alpha * d, b, p, 1e-8)
+            trial = space.energy(u + alpha * d, b, p, 1e-8, at.along(images, alpha))
+            assert trial == pytest.approx(fresh, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+    def test_lp_integrals_vanish_where_the_field_does(self, disk, p):
+        # at eps = 0 a flat triangle and a zero value add exactly 0
+        space = P1Space.of(disk)
+        assert space.integrate_lp(np.zeros(disk.n_vertices), p) == (0.0, 0.0)
+        u = np.maximum(disk.vertices[:, 0], 0.0)  # zero on the left half
+        grad_term, mass_term = space.integrate_lp(u, p)
+        zero = np.zeros(disk.n_vertices)
+        assert grad_term + mass_term == pytest.approx(
+            p * reference_energy(disk, u, zero, p, 0.0), rel=1e-13
+        )
+
     def test_mesh_mismatch_rejected(self, disk):
         other = build_disk_mesh(1.0, 32, 4)
         f = LoadField.constant(other, 1.0)
@@ -92,6 +135,16 @@ class TestResidual:
         r = residual(disk, u, f, p=3.0, eps=cfg.eps_final)
         assert np.linalg.norm(r) <= NEWTON_TOL
 
+    @pytest.mark.parametrize("eps", [0.1, 1e-8])
+    @pytest.mark.parametrize("p", KERNEL_PS)
+    def test_matches_reference(self, disk, p, eps):
+        rng = np.random.default_rng(16)
+        u = 0.5 * rng.normal(size=disk.n_vertices)
+        b = 0.1 * rng.normal(size=disk.n_vertices)
+        r = P1Space.of(disk).residual(u, b, p, eps)
+        ref = reference_residual(disk, u, b, p, eps)
+        assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_matches_energy_finite_difference(self, disk):
         # central difference of the energy in random nodal directions
         rng = np.random.default_rng(3)
@@ -107,34 +160,13 @@ class TestResidual:
             assert fd == pytest.approx(r[i], rel=1e-6, abs=1e-10)
 
 
-def coo_reference_hessian(space, u, p, eps):
-    """Plain element-by-element COO assembly of ``P1Space.hessian``,
-    with the exact mass coefficient (u^2+eps^2)^{(p-4)/2}((p-1)u^2+eps^2)."""
-    g = space.gradient(u)
-    s = np.einsum("td,td->t", g, g) + eps * eps
-    c1 = space.areas * s ** ((p - 2.0) / 2.0)
-    c2 = space.areas * (p - 2.0) * s ** ((p - 4.0) / 2.0)
-    bg = np.einsum("tid,td->ti", space.grads, g)
-    local = c1[:, None, None] * np.einsum("tid,tjd->tij", space.grads, space.grads)
-    local += c2[:, None, None] * np.einsum("ti,tj->tij", bg, bg)
-    uq = space.values_at_qp(u)
-    m = uq * uq + eps * eps
-    w = space.qweights * m ** ((p - 4.0) / 2.0) * ((p - 1.0) * uq * uq + eps * eps)
-    local += np.einsum("tq,qi,qj->tij", w, TRI_QP, TRI_QP)
-    rows = np.repeat(space.triangles, 3, axis=1).ravel()
-    cols = np.tile(space.triangles, (1, 3)).ravel()
-    n = space.n
-    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsc()
-
-
 class TestHessian:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_matches_coo_reference(self, disk, p):
         rng = np.random.default_rng(11)
         u = 0.5 * rng.normal(size=disk.n_vertices)
-        space = P1Space.of(disk)
-        H = space.hessian(u, p, 0.01)
-        ref = coo_reference_hessian(space, u, p, 0.01)
+        H = P1Space.of(disk).hessian(u, p, 0.01)
+        ref = reference_hessian(disk, u, p, 0.01)
         assert H.format == "csc" and H.shape == ref.shape
         assert abs(H - ref).max() <= 1e-13 * abs(ref).max()
 
@@ -253,9 +285,9 @@ class TestSolve:
         energies = {}
         residual_of = P1Space.residual
 
-        def spy(space, u, b, p, eps):
+        def spy(space, u, b, p, eps, at=None):
             energies.setdefault(eps, []).append(space.energy(u, b, p, eps))
-            return residual_of(space, u, b, p, eps)
+            return residual_of(space, u, b, p, eps, at)
 
         monkeypatch.setattr(P1Space, "residual", spy)
         rng = np.random.default_rng(5)
@@ -293,6 +325,34 @@ class TestSolve:
         assert rep.final_residual > NEWTON_TOL
         assert np.all(np.isfinite(u.nodal_values))
         assert np.isfinite(rep.J)
+
+    @pytest.mark.parametrize("kind", ["cold", "warm", "capped"])
+    def test_final_residual_is_the_residual_of_the_state(self, disk, kind, monkeypatch):
+        # the reported residual is that of the returned u, not of a
+        # line-search trial's images
+        rng = np.random.default_rng(0)
+        f = random_step_load(disk, rng)
+        cfg = SolveConfig(p=1.5)
+        start = None
+        if kind == "warm":
+            start, _ = solve(disk, LoadField(1.1 * f.cell_values, f.weights), cfg)
+        if kind == "capped":
+            monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+        u, rep = solve(disk, f, cfg, u_init=start)
+        assert rep.converged == (kind != "capped")
+        fresh = np.linalg.norm(residual(disk, u, f, cfg.p, cfg.eps_final))
+        assert rep.final_residual == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps_final", [1e-8, 3e-8])
+    def test_eps_schedule_ends_exactly_at_eps_final(self, disk, eps_final):
+        # 0.1 * 0.1**7 rounds to 1.0000000000000005e-08, which must not
+        # add a stage at 1e-8
+        _, rep = solve(disk, LoadField.constant(disk, 1.0),
+                       SolveConfig(p=2.0, eps_final=eps_final))
+        stages = np.array(rep.eps_stages)
+        assert stages[0] == EPS_INITIAL and stages[-1] == eps_final
+        assert len(stages) == 8
+        assert np.all(stages[1:] < stages[:-1] / 2.0)
 
     @pytest.mark.parametrize("p, budget", [(1.1, 80), (1.3, 70), (1.5, 40)])
     def test_cold_start_newton_budget(self, disk, p, budget):
