@@ -11,7 +11,6 @@ from .geometry import (
 )
 from .rearrangement import (
     LoadField,
-    RearrangementClass,
     best_response,
     binary_load,
     comonotonicity_defect,
@@ -57,7 +56,6 @@ __all__ = [
     "build_square_mesh",
     "validate_mesh",
     "LoadField",
-    "RearrangementClass",
     "best_response",
     "binary_load",
     "comonotonicity_defect",

@@ -25,7 +25,6 @@ from .perturbation import (
 )
 from .rearrangement import (
     LoadField,
-    RearrangementClass,
     best_response,
     binary_load,
     comonotonicity_defect,
@@ -147,13 +146,12 @@ def criterion_4_best_response_exact():
         n = int(rng.integers(5, 9))
         values = np.round(rng.uniform(-2, 2, size=n), 3)
         trace = rng.normal(size=n)
-        rc = RearrangementClass(np.sort(values), 1.0)
-        f_hat = best_response(rc, trace)
+        f_hat = best_response(LoadField(values), trace)
         L_hat = linear_functional_L(f_hat, trace)
         # evaluate every permutation with the same term-by-term sum as
         # linear_functional_L so the exact-equality claim is well posed
         perms = np.array(list(itertools.permutations(values)))
-        L_all = np.sum(perms * trace[None, :] * np.ones_like(trace)[None, :], axis=1)
+        L_all = np.sum(perms * trace[None, :], axis=1)
         L_max = float(L_all.max())
         worst = max(worst, abs(L_max - L_hat))
         ok = ok and L_hat >= L_max  # exact: no permutation may beat it

@@ -3,7 +3,8 @@
 The boundary of every mesh produced here is a single closed polyline split
 into cells of identical arclength. Equal cells make rearrangements of
 piecewise-constant boundary data plain permutations of cell values, which
-the rearrangement and optimizer modules rely on.
+the rearrangement and optimizer modules rely on; ``unequal_cell`` states
+the rule.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ __all__ = [
     "MeshValidationReport",
     "build_disk_mesh",
     "build_square_mesh",
+    "unequal_cell",
     "validate_mesh",
 ]
 
@@ -204,6 +206,23 @@ class MeshValidationReport:
         return "mesh invalid:\n" + "\n".join(f"  - {v}" for v in self.violations)
 
 
+def unequal_cell(mesh: DomainMesh):
+    """The equal-cell rule: every boundary cell has the arclength L / n_b
+    of an equal split of the boundary length L, to relative
+    EQUAL_WEIGHT_RTOL. Returns a description of the first cell that
+    breaks it, or None."""
+    lengths = mesh.boundary_weights
+    target = mesh.total_boundary_length / lengths.size
+    rel = np.abs(lengths - target) / target
+    bad = np.nonzero(rel > EQUAL_WEIGHT_RTOL)[0]
+    if bad.size:
+        return (
+            f"boundary cell {bad[0]} length {lengths[bad[0]]:.16g} deviates "
+            f"from equal-arclength value {target:.16g} (rel {rel[bad[0]]:.2e})"
+        )
+    return None
+
+
 def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
     """Check every structural invariant of a DomainMesh.
 
@@ -242,15 +261,9 @@ def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
         if extra:
             v.append(f"loop edge {next(iter(extra))} not a boundary edge")
 
-    lengths = mesh.boundary_weights
-    target = mesh.total_boundary_length / n_b
-    rel = np.abs(lengths - target) / target
-    bad = np.nonzero(rel > EQUAL_WEIGHT_RTOL)[0]
-    if bad.size:
-        v.append(
-            f"boundary cell {bad[0]} length {lengths[bad[0]]:.16g} deviates "
-            f"from equal-arclength value {target:.16g} (rel {rel[bad[0]]:.2e})"
-        )
+    unequal = unequal_cell(mesh)
+    if unequal:
+        v.append(unequal)
 
     # Counter-clockwise loop: the shoelace area of a simple polygon is
     # positive exactly when it is traversed counter-clockwise.

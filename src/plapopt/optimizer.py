@@ -3,8 +3,9 @@ class.
 
 Each step solves the state problem for the current load and replaces the
 load with the rearrangement comonotone to the resulting boundary trace.
-That rearrangement maximizes the linear functional L(f) = sum f c trace_c
-w_c, which forces J(f_{k+1}) >= J(f_k) up to solver tolerance:
+That rearrangement maximizes the pairing sum L(f) = sum_c f_c trace_c
+(the boundary integral of f u over the common cell arclength), which
+forces J(f_{k+1}) >= J(f_k) up to solver tolerance:
 
     J(f_{k+1}) >= I(u_k; f_{k+1}) >= I(u_k; f_k) = J(f_k).
 
@@ -18,12 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rearrangement import (
-    LoadField,
-    RearrangementClass,
-    best_response,
-    comonotonicity_defect,
-)
+from .geometry import unequal_cell
+from .rearrangement import LoadField, best_response, comonotonicity_defect
 from .solver import SolveConfig, SolverError, solve
 
 __all__ = [
@@ -79,10 +76,13 @@ def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
     Returns (best load, its state, history). Every iterate is a
     permutation of f0's values; the terminal iterate of each restart is
     comonotone with its own trace whenever the restart reached a fixed
-    point. Raises SolverError context via the inner solve if a state
-    solve fails.
+    point. Raises ValueError, before any solve, on a mesh whose boundary
+    cells are unequal (there a permutation of cell values is no
+    rearrangement), and SolverError if a state solve fails.
     """
-    rclass = RearrangementClass.from_load(f0)
+    unequal = unequal_cell(mesh)
+    if unequal:
+        raise ValueError(f"rearrangements need equal boundary cells: {unequal}")
     rng = np.random.default_rng(config.seed)
     history = OptimizeHistory()
 
@@ -91,16 +91,15 @@ def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
         if restart == 0:
             f = f0
         else:
-            values = rng.permutation(rclass.sorted_values)
-            f = LoadField(values, f0.weights)
-        f, state, J, fixed = _run_single(mesh, f, rclass, config, restart, history)
+            f = LoadField(rng.permutation(np.sort(f0.cell_values)))
+        f, state, J, fixed = _run_single(mesh, f, config, restart, history)
         history.restart_results.append((restart, J, fixed))
         if best is None or J > best[0]:
             best = (J, f, state)
     return best[1], best[2], history
 
 
-def _run_single(mesh, f, rclass, config, restart, history):
+def _run_single(mesh, f, config, restart, history):
     seen = {tuple(f.cell_values)}
     u_prev = None
     J_prev = None
@@ -115,7 +114,7 @@ def _run_single(mesh, f, rclass, config, restart, history):
         u_prev = state  # the next solve starts here, with this state's factor
         J = report.J
         trace = state.boundary_trace
-        f_next = best_response(rclass, trace)
+        f_next = best_response(f, trace)
         changed = not np.array_equal(f_next.cell_values, f.cell_values)
         history.records.append(
             IterationRecord(

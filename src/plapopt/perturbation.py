@@ -68,8 +68,8 @@ MONOTONE_SLACK = 1.1
 
 @dataclass(frozen=True)
 class TangentField:
-    """Periodic tangential speed v(s) on a boundary chart of length
-    ``period``.
+    """Periodic tangential speed v(s) on the arclength chart of a
+    boundary.
 
     ``speed`` and ``speed_prime`` are vectorized callables of arclength.
     The volume derivative formula extends v into the domain itself (see
@@ -77,39 +77,26 @@ class TangentField:
     """
 
     name: str
-    period: float
     speed: callable = dc_field(repr=False)
     speed_prime: callable = dc_field(repr=False)
-
-    def __add__(self, other):
-        if not isinstance(other, TangentField):
-            return NotImplemented
-        if other.period != self.period:
-            raise ValueError("cannot add fields with different periods")
-        sa, sb = self.speed, other.speed
-        pa, pb = self.speed_prime, other.speed_prime
-        return TangentField(
-            name=f"{self.name}+{other.name}",
-            period=self.period,
-            speed=lambda s: sa(s) + sb(s),
-            speed_prime=lambda s: pa(s) + pb(s),
-        )
 
 
 def tangent_field(spec, period):
     """Build a catalog speed field from a textual spec.
 
     Supported specs: ``constant`` (or ``constant:c``), ``sin:k``,
-    ``cos:k`` (harmonic k of the chart), ``bump:center,width``
-    (smooth compactly supported bump, arclength units).
+    ``cos:k`` (harmonic k of the chart of length ``period``),
+    ``bump:center,width`` (smooth compactly supported bump, arclength
+    units). A non-finite c, center or width raises ValueError.
     """
     L = float(period)
     kind, _, arg = str(spec).partition(":")
     if kind == "constant":
         c = float(arg) if arg else 1.0
+        if not np.isfinite(c):
+            raise ValueError(f"constant speed must be finite, got {spec!r}")
         return TangentField(
             name=f"constant:{c:g}",
-            period=L,
             speed=lambda s: np.full_like(np.asarray(s, dtype=float), c),
             speed_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         )
@@ -118,12 +105,12 @@ def tangent_field(spec, period):
         om = 2.0 * np.pi * k / L
         if kind == "sin":
             return TangentField(
-                name=f"sin:{k}", period=L,
+                name=f"sin:{k}",
                 speed=lambda s: np.sin(om * np.asarray(s, dtype=float)),
                 speed_prime=lambda s: om * np.cos(om * np.asarray(s, dtype=float)),
             )
         return TangentField(
-            name=f"cos:{k}", period=L,
+            name=f"cos:{k}",
             speed=lambda s: np.cos(om * np.asarray(s, dtype=float)),
             speed_prime=lambda s: -om * np.sin(om * np.asarray(s, dtype=float)),
         )
@@ -132,6 +119,8 @@ def tangent_field(spec, period):
             center, width = (float(v) for v in arg.split(","))
         except ValueError:
             raise ValueError(f"bump spec needs 'bump:center,width', got {spec!r}")
+        if not np.isfinite(center):
+            raise ValueError(f"bump center must be finite, got {spec!r}")
         if not 0 < width <= L:
             raise ValueError(f"bump width must lie in (0, {L}], got {width}")
 
@@ -158,7 +147,7 @@ def tangent_field(spec, period):
             )
             return out
 
-        return TangentField(name=f"bump:{center:g},{width:g}", period=L, speed=v, speed_prime=vp)
+        return TangentField(name=f"bump:{center:g},{width:g}", speed=v, speed_prime=vp)
     raise ValueError(f"unknown tangent field spec {spec!r}")
 
 
@@ -194,18 +183,19 @@ def _default_steps(t):
 
 
 class FlowMap:
-    """Boundary diffeomorphism psi_t generated by a tangent field."""
+    """Boundary diffeomorphism psi_t generated by a tangent field, for a
+    finite flow time t (negative t flows backwards)."""
 
     def __init__(self, field: TangentField, t):
+        t = float(t)
+        if not np.isfinite(t):
+            raise ValueError(f"flow time t must be finite, got {t}")
         self.field = field
-        self.t = float(t)
+        self.t = t
         self.n_steps = _default_steps(t)
 
     def forward(self, s):
         return _rk4(self.field, s, self.t, self.n_steps)
-
-    def inverse(self, s):
-        return _rk4(self.field, s, -self.t, self.n_steps)
 
     def jacobian(self, s):
         """Tangential Jacobian d psi_t / ds; equals 1 + t v'(s) + O(t^2)."""

@@ -1,11 +1,12 @@
-"""Boundary loads, their rearrangement class, and the comonotone best
-response.
+"""Boundary loads as cell values, and the comonotone best response.
 
-On equal-arclength boundary cells, two piecewise-constant loads are
-rearrangements of each other exactly when their cell values are
-permutations of each other. The best response to a boundary trace sorts
-the stored values onto the cells in trace order, which maximizes the
-pairing sum by the rearrangement inequality.
+A load is one value per boundary cell; the mesh holds the cells and their
+arclengths. On equal-arclength cells (``geometry.unequal_cell`` states
+the rule), two piecewise-constant loads are rearrangements of each other
+exactly when their cell values are permutations of each other. The best
+response to a boundary trace sorts a load's values onto the cells in
+trace order, which maximizes the pairing sum by the rearrangement
+inequality.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "LoadField",
-    "RearrangementClass",
     "distribution",
     "same_class",
     "best_response",
@@ -28,29 +28,21 @@ __all__ = [
 TIE_TOL = 1e-12
 
 
-def _freeze(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class LoadField:
-    """Piecewise-constant boundary load: one value per boundary cell.
-
-    weights are the cell arclengths (equal by the mesh contract).
-    """
+    """Piecewise-constant boundary load: one value per boundary cell."""
 
     cell_values: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cell_values", _freeze(self.cell_values))
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        if self.cell_values.shape != self.weights.shape:
-            raise ValueError("cell_values and weights must have equal length")
-        if not np.all(np.isfinite(self.cell_values)):
+        values = np.asarray(self.cell_values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"cell values must be 1-D, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("load values must be finite")
+        values = np.ascontiguousarray(values)
+        values.flags.writeable = False
+        object.__setattr__(self, "cell_values", values)
 
     @property
     def n_cells(self):
@@ -63,33 +55,11 @@ class LoadField:
             raise ValueError(
                 f"expected {mesh.n_boundary_cells} cell values, got {values.size}"
             )
-        return cls(values, mesh.boundary_weights)
+        return cls(values)
 
     @classmethod
     def constant(cls, mesh, value):
         return cls.from_values(mesh, np.full(mesh.n_boundary_cells, float(value)))
-
-
-@dataclass(frozen=True)
-class RearrangementClass:
-    """Sorted value multiset of a reference load on equal-weight cells."""
-
-    sorted_values: np.ndarray
-    common_weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "sorted_values", _freeze(self.sorted_values))
-
-    @property
-    def size(self):
-        return self.sorted_values.size
-
-    @classmethod
-    def from_load(cls, f: LoadField):
-        w = f.weights
-        if w.size and not np.allclose(w, w[0], rtol=1e-12, atol=0.0):
-            raise ValueError("rearrangement class requires equal cell weights")
-        return cls(np.sort(f.cell_values), float(w[0]))
 
 
 def distribution(f: LoadField):
@@ -97,37 +67,35 @@ def distribution(f: LoadField):
     return np.sort(f.cell_values)
 
 
-def same_class(f: LoadField, g: LoadField, tol=0.0):
-    """True iff f and g are rearrangements of each other within tol."""
+def same_class(f: LoadField, g: LoadField):
+    """True iff f and g are rearrangements of each other."""
     if f.n_cells != g.n_cells:
         raise ValueError("loads live on different meshes")
-    return bool(np.all(np.abs(distribution(f) - distribution(g)) <= tol))
+    return bool(np.array_equal(distribution(f), distribution(g)))
 
 
-def best_response(rclass: RearrangementClass, trace):
-    """The class member maximizing sum_c f_c * trace_c * w_c.
+def best_response(f: LoadField, trace):
+    """The rearrangement of f maximizing ``linear_functional_L``.
 
     Cells are ranked by trace value (ties broken by cell index, stable)
-    and receive the class values in the same ascending order. The result
-    is comonotone with the trace by construction.
+    and receive f's values in the same ascending order. The result is
+    comonotone with the trace by construction.
     """
     trace = np.asarray(trace, dtype=float)
-    if trace.size != rclass.size:
-        raise ValueError(
-            f"trace length {trace.size} != class size {rclass.size}"
-        )
-    order = np.argsort(trace, kind="stable")
-    values = np.empty(rclass.size)
-    values[order] = rclass.sorted_values
-    return LoadField(values, np.full(rclass.size, rclass.common_weight))
+    if trace.size != f.n_cells:
+        raise ValueError(f"trace length {trace.size} != load size {f.n_cells}")
+    values = np.empty(f.n_cells)
+    values[np.argsort(trace, kind="stable")] = distribution(f)
+    return LoadField(values)
 
 
 def linear_functional_L(f: LoadField, trace):
-    """sum_c f_c * trace_c * w_c (same quadrature as the J functional)."""
+    """The pairing sum sum_c f_c * trace_c that ``best_response``
+    maximizes."""
     trace = np.asarray(trace, dtype=float)
     if trace.size != f.n_cells:
         raise ValueError("trace length does not match load")
-    return float(np.sum(f.cell_values * trace * f.weights))
+    return float(np.sum(f.cell_values * trace))
 
 
 def comonotonicity_defect(f: LoadField, trace):

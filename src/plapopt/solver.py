@@ -145,7 +145,6 @@ class StateField:
     nodal_values: np.ndarray
     boundary_trace: np.ndarray
     p: float
-    epsilon: float
     factor: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -391,7 +390,7 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
         u = u_start
         for eps in _eps_schedule(config.eps_final):
             u, rnorm, _ = stage(u, eps, MAX_NEWTON_ITERS)
-    state = StateField(u, space.trace_average(u), p, config.eps_final, systems.lu)
+    state = StateField(u, space.trace_average(u), p, systems.lu)
     J = float(b @ u)
     I = _dual_I(space, u, J, p)
     report = SolveReport(

@@ -204,6 +204,22 @@ class TestDerivativeCommand:
                    "--p", "2.0", "--field", "vortex:1", "--out", "d.json"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [
+        ["--field", "constant:nan"],
+        ["--field", "bump:nan,1"],
+        ["--field", "sin:1", "--t", "inf"],
+        ["--field", "sin:1", "--t", "nan"],
+    ])
+    def test_nonfinite_flow_input_is_config_error(self, workdir, mesh_file, load_file,
+                                                 capsys, flags):
+        rc = main(["derivative", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2.0", *flags, "--out", "d.json"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert err.count("\n") == 1
+        assert not os.path.exists("d.json")
+
 
 class TestSuiteCommand:
     def test_selected_criteria(self, workdir):

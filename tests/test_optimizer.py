@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from plapopt.geometry import build_disk_mesh
+from plapopt.geometry import DomainMesh, build_disk_mesh, validate_mesh
 from plapopt.optimizer import (
     OptimizeConfig,
     maximize_over_rearrangements,
@@ -46,7 +46,7 @@ class TestMaximize:
         f0 = binary_load(small_disk, 8, start=2)
         cfg = _config(2.0, restarts=2, seed=9)
         fhat, uhat, hist = maximize_over_rearrangements(small_disk, f0, cfg)
-        assert same_class(fhat, f0, 0.0)
+        assert same_class(fhat, f0)
         assert set(np.unique(fhat.cell_values)) == {0.0, 1.0}
         assert comonotonicity_defect(fhat, uhat.boundary_trace) == 0.0
 
@@ -56,7 +56,7 @@ class TestMaximize:
         assert J_hat >= rep0.J - 1e-12
         rng = np.random.default_rng(4)
         for _ in range(50):
-            g = LoadField(rng.permutation(f0.cell_values), f0.weights)
+            g = LoadField(rng.permutation(f0.cell_values))
             _, rep = solve(small_disk, g, cfg.solver)
             assert J_hat >= rep.J - 1e-6 * (1.0 + abs(J_hat))
 
@@ -68,7 +68,7 @@ class TestMaximize:
             Js = [rec.J for rec in hist.per_restart(r)]
             for a, b in zip(Js, Js[1:]):
                 assert b >= a - 1e-5 * (1.0 + abs(a))
-        assert same_class(fhat, f0, 0.0)
+        assert same_class(fhat, f0)
 
     def test_exhaustive_tiny_global_maximum(self, tiny_disk):
         values = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0])
@@ -110,6 +110,22 @@ class TestMaximize:
         assert recs[0].factorizations == cold.factorizations
         for rec in recs[1:]:
             assert rec.newton_steps < recs[0].newton_steps
+
+    def test_unequal_cells_refused_before_any_solve(self, tiny_disk, monkeypatch):
+        verts = np.array(tiny_disk.vertices)
+        # move one boundary vertex along the octagon: two cells change length
+        i, j = tiny_disk.boundary_loop[2], tiny_disk.boundary_loop[3]
+        verts[i] = 0.7 * verts[i] + 0.3 * verts[j]
+        bad = DomainMesh(verts, tiny_disk.triangles, tiny_disk.boundary_loop)
+        assert not validate_mesh(bad).ok
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called on a mesh with unequal cells")
+
+        monkeypatch.setattr("plapopt.optimizer.solve", no_solve)
+        f0 = binary_load(bad, 3)
+        with pytest.raises(ValueError, match="equal"):
+            maximize_over_rearrangements(bad, f0, _config(2.0))
 
 
 class TestOptimizeConfig:

@@ -13,6 +13,7 @@ from plapopt.geometry import build_disk_mesh, build_square_mesh
 from plapopt.perturbation import (
     FlowMap,
     PiecewiseBoundaryFunction,
+    TangentField,
     deriv_bvjump_formula,
     deriv_finite_difference,
     deriv_surfdiv_formula,
@@ -62,11 +63,10 @@ class TestFlowMap:
         )
         assert 3.5 <= dev / dev_half <= 4.5  # second order in t
 
-    def test_inverse_roundtrip(self):
-        fld = tangent_field("cos:2", L2PI)
-        fm = FlowMap(fld, 0.4)
-        s = np.linspace(0, L2PI, 17, endpoint=False)
-        assert np.max(np.abs(fm.inverse(fm.forward(s)) - s)) < 1e-11
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            FlowMap(tangent_field("sin:1", L2PI), t)
 
     def test_group_property(self):
         fld = tangent_field("sin:1", L2PI)
@@ -216,8 +216,7 @@ class TestDerivativeFormulas:
         from plapopt.solver import StateField
 
         f = LoadField.constant(disk, 0.0)
-        u0 = StateField(np.zeros(disk.n_vertices), np.zeros(disk.n_boundary_cells),
-                        1.5, 0.0)
+        u0 = StateField(np.zeros(disk.n_vertices), np.zeros(disk.n_boundary_cells), 1.5)
         fld = tangent_field("sin:1", disk.total_boundary_length)
         assert deriv_volume_formula(disk, u0, f, fld) == 0.0
 
@@ -245,7 +244,11 @@ class TestDerivativeFormulas:
         L = disk.total_boundary_length
         v1 = tangent_field("sin:1", L)
         v2 = tangent_field(f"bump:{0.4 * L},{0.3 * L}", L)
-        v12 = v1 + v2
+        v12 = TangentField(
+            "sin:1+bump",
+            speed=lambda s: v1.speed(s) + v2.speed(s),
+            speed_prime=lambda s: v1.speed_prime(s) + v2.speed_prime(s),
+        )
         for form in (
             lambda v: deriv_volume_formula(disk, u0, f, v),
             lambda v: deriv_surfdiv_formula(disk, u0, f, v),
@@ -394,6 +397,13 @@ class TestTangentFieldSpecs:
             tangent_field("bump:1.0", L2PI)
         with pytest.raises(ValueError):
             tangent_field(f"bump:0.0,{3 * L2PI}", L2PI)
+
+    @pytest.mark.parametrize(
+        "spec", ["constant:nan", "constant:inf", "bump:nan,1", "bump:inf,1", "bump:1,nan"]
+    )
+    def test_nonfinite_parameters_rejected(self, spec):
+        with pytest.raises(ValueError):
+            tangent_field(spec, L2PI)
 
     def test_bump_supported_and_smooth(self):
         fld = tangent_field("bump:3.0,2.0", L2PI)

@@ -302,7 +302,7 @@ class TestSolve:
         rng = np.random.default_rng(8)
         f = random_step_load(disk, rng)
         c = 3.7
-        fc = LoadField(c * f.cell_values, f.weights)
+        fc = LoadField(c * f.cell_values)
         u1, r1 = solve(disk, f, SolveConfig(p=2.0))
         u2, r2 = solve(disk, fc, SolveConfig(p=2.0))
         assert np.allclose(u2.nodal_values, c * u1.nodal_values,
@@ -335,7 +335,7 @@ class TestSolve:
         cfg = SolveConfig(p=1.5)
         start = None
         if kind == "warm":
-            start, _ = solve(disk, LoadField(1.1 * f.cell_values, f.weights), cfg)
+            start, _ = solve(disk, LoadField(1.1 * f.cell_values), cfg)
         if kind == "capped":
             monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         u, rep = solve(disk, f, cfg, u_init=start)
@@ -376,7 +376,7 @@ class TestSolve:
         # criterion 1's step load, scaled over six decades, near p = 1:
         # every stage reaches NEWTON_TOL and the duality gap certifies J
         f = step_load(disk, STEP_LEVELS)
-        _, rep = solve(disk, LoadField(scale * f.cell_values, f.weights),
+        _, rep = solve(disk, LoadField(scale * f.cell_values),
                        SolveConfig(p=p))
         assert rep.converged
         assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
