@@ -27,13 +27,13 @@ from .optimizer import (
 )
 from .perturbation import (
     DerivativeReport,
-    FlowMap,
     TangentField,
     deriv_bvjump_formula,
     deriv_finite_difference,
     deriv_surfdiv_formula,
     deriv_volume_formula,
     derivative_report,
+    flow,
     tangent_field,
     transport_load,
     transported_solution_check,
@@ -77,13 +77,13 @@ __all__ = [
     "OptimizeHistory",
     "maximize_over_rearrangements",
     "DerivativeReport",
-    "FlowMap",
     "TangentField",
     "deriv_bvjump_formula",
     "deriv_finite_difference",
     "deriv_surfdiv_formula",
     "deriv_volume_formula",
     "derivative_report",
+    "flow",
     "tangent_field",
     "transport_load",
     "transported_solution_check",

@@ -216,10 +216,10 @@ def cmd_derivative(args):
         "estimates": rep.values,
         "discrepancies": rep.discrepancies,
         "max_discrepancy": rep.max_discrepancy,
-        "t": rep.t,
-        "p": rep.p,
-        "field": rep.field_name,
-        "n_boundary_cells": rep.n_boundary_cells,
+        "t": args.t,
+        "p": config.p,
+        "field": field.name,
+        "n_boundary_cells": mesh.n_boundary_cells,
         **_provenance(args, args.mesh),
     }
     write_json(out, payload)

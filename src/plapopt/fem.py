@@ -306,6 +306,11 @@ class P1Space:
         w = self.boundary_weights
         return self.cell_starts[:-1, None] + w[:, None] * EDGE_QP[None, :]
 
+    def boundary_integral(self, g):
+        """Boundary integral of a function given by its values g (n_b, 2)
+        at the Gauss nodes of every cell (2-point Gauss rule)."""
+        return float(np.sum(g * EDGE_QW[None, :] * self.boundary_weights[:, None]))
+
     def trace_at_gauss(self, u):
         """u at the boundary Gauss nodes; (n_b, 2)."""
         ua = u[self.edge_a][:, None]

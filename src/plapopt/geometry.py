@@ -24,7 +24,7 @@ EQUAL_WEIGHT_RTOL = 1e-12
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a)
+    a = np.array(a, order="C")  # a copy, so the caller's array stays writeable
     a.flags.writeable = False
     return a
 

@@ -64,10 +64,17 @@ class IterationRecord:
 @dataclass
 class OptimizeHistory:
     records: list = field(default_factory=list)
-    restart_results: list = field(default_factory=list)  # (restart, J, fixed_point)
 
     def per_restart(self, r):
         return [rec for rec in self.records if rec.restart == r]
+
+    @property
+    def restart_results(self):
+        """(restart, J, fixed_point) of every restart, from its last record:
+        a restart ends at a fixed point exactly when its last best response
+        left the load unchanged."""
+        last = {rec.restart: rec for rec in self.records}
+        return [(r, rec.J, not rec.changed) for r, rec in last.items()]
 
 
 def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
@@ -92,8 +99,8 @@ def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
             f = f0
         else:
             f = LoadField(rng.permutation(np.sort(f0.cell_values)))
-        f, state, J, fixed = _run_single(mesh, f, config, restart, history)
-        history.restart_results.append((restart, J, fixed))
+        f, state = _run_single(mesh, f, config, restart, history)
+        J = history.records[-1].J
         if best is None or J > best[0]:
             best = (J, f, state)
     return best[1], best[2], history
@@ -103,7 +110,6 @@ def _run_single(mesh, f, config, restart, history):
     seen = {tuple(f.cell_values)}
     u_prev = None
     J_prev = None
-    result = None
     for it in range(config.max_outer_iters):
         state, report = solve(mesh, f, config.solver, u_init=u_prev)
         if not report.converged:
@@ -128,16 +134,16 @@ def _run_single(mesh, f, config, restart, history):
                 factorizations=report.factorizations,
             )
         )
-        result = (f, state, J)
+        result = (f, state)
         if not changed:
-            return f, state, J, True  # exact fixed point
+            return result  # exact fixed point
         if J_prev is not None and abs(J - J_prev) < J_TOL * (1.0 + abs(J)):
-            return f, state, J, False
+            return result
         key = tuple(f_next.cell_values)
         if key in seen:
-            return f, state, J, False  # cycle without improvement
+            return result  # cycle without improvement
         seen.add(key)
         J_prev = J
         f = f_next
-    return (*result, False)
+    return result  # iteration cap
 

@@ -5,9 +5,11 @@ A periodic speed v(s) on the arclength chart generates the boundary flow
 
     d/dtau psi_tau(s) = v(psi_tau(s)),    psi_0(s) = s,
 
-which transports a load by pullback, f_t = f o psi_t^{-1}: a step
-function whose breaks move with the flow and whose values ride along. With
-I(t) = J(f_t), four independent estimates of I'(0) are provided:
+which ``flow`` integrates by RK4 (with its tangential Jacobian on
+request) and which transports a load by pullback, f_t = f o psi_t^{-1}
+(``transport_load``): a step function whose breaks move with the flow
+and whose values ride along. With I(t) = J(f_t), four independent
+estimates of I'(0) are provided:
 
 * ``deriv_volume_formula``: interior integrals of the base solution
   against the Jacobian and divergence of a discrete harmonic extension V
@@ -32,14 +34,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .fem import EDGE_QW, P1Space
+from .fem import P1Space
 from .rearrangement import LoadField
 from .solver import SolveConfig, SolverError, StateField, solve
 
 __all__ = [
     "TangentField",
     "tangent_field",
-    "FlowMap",
+    "flow",
     "PiecewiseBoundaryFunction",
     "transport_load",
     "lq_distance",
@@ -151,55 +153,35 @@ def tangent_field(spec, period):
     raise ValueError(f"unknown tangent field spec {spec!r}")
 
 
-def _rk4(field: TangentField, s0, t, n_steps, with_jacobian=False):
-    """Classical RK4 for the chart flow, vectorized over start points.
-
-    Integrates the variational equation dM/dtau = v'(sigma) M alongside
-    when the tangential Jacobian is requested.
-    """
-    s = np.array(s0, dtype=float)
+def flow(field: TangentField, s, t, jacobian=False):
+    """psi_t(s) for an array of start points s, by classical RK4 with
+    max(100, ceil(400 |t|)) steps; a negative t flows backwards. With
+    ``jacobian``, the pair (psi_t(s), d psi_t / ds), the tangential
+    Jacobian 1 + t v'(s) + O(t^2) integrated from dM/dtau = v'(sigma) M
+    alongside. A non-finite t raises ValueError."""
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"flow time t must be finite, got {t}")
+    s = np.array(s, dtype=float)
+    M = np.ones_like(s)
     if t == 0.0:
-        return (s, np.ones_like(s)) if with_jacobian else s
+        return (s, M) if jacobian else s
+    n_steps = max(100, int(np.ceil(abs(t) * 400.0)))
     h = t / n_steps
     v, vp = field.speed, field.speed_prime
-    M = np.ones_like(s)
     for _ in range(n_steps):
         k1 = v(s)
         k2 = v(s + 0.5 * h * k1)
         k3 = v(s + 0.5 * h * k2)
         k4 = v(s + h * k3)
-        if with_jacobian:
+        if jacobian:
             m1 = vp(s) * M
             m2 = vp(s + 0.5 * h * k1) * (M + 0.5 * h * m1)
             m3 = vp(s + 0.5 * h * k2) * (M + 0.5 * h * m2)
             m4 = vp(s + h * k3) * (M + h * m3)
             M = M + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return (s, M) if with_jacobian else s
-
-
-def _default_steps(t):
-    return max(100, int(np.ceil(abs(t) * 400.0)))
-
-
-class FlowMap:
-    """Boundary diffeomorphism psi_t generated by a tangent field, for a
-    finite flow time t (negative t flows backwards)."""
-
-    def __init__(self, field: TangentField, t):
-        t = float(t)
-        if not np.isfinite(t):
-            raise ValueError(f"flow time t must be finite, got {t}")
-        self.field = field
-        self.t = t
-        self.n_steps = _default_steps(t)
-
-    def forward(self, s):
-        return _rk4(self.field, s, self.t, self.n_steps)
-
-    def jacobian(self, s):
-        """Tangential Jacobian d psi_t / ds; equals 1 + t v'(s) + O(t^2)."""
-        return _rk4(self.field, s, self.t, self.n_steps, with_jacobian=True)[1]
+    return (s, M) if jacobian else s
 
 
 class PiecewiseBoundaryFunction:
@@ -232,9 +214,10 @@ class PiecewiseBoundaryFunction:
 def transport_load(mesh, f: LoadField, field: TangentField, t):
     """Exact pullback f o psi_t^{-1} as an evaluable piecewise-constant
     function: piece start points move with the forward flow, values ride
-    along unchanged (no resampling onto cells)."""
+    along unchanged (no resampling onto cells). Any finite t is accepted;
+    the flow takes 400 RK4 steps per unit of |t| (at least 100)."""
     base = PiecewiseBoundaryFunction.from_load(mesh, f)
-    moved = np.mod(FlowMap(field, t).forward(base.breaks), base.period)
+    moved = np.mod(flow(field, base.breaks, t), base.period)
     return PiecewiseBoundaryFunction(moved, base.values, base.period)
 
 
@@ -287,10 +270,7 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     sg = space.boundary_gauss_points()
     ug = space.trace_at_gauss(u)
     vp = field.speed_prime(sg)
-    bterm = float(
-        np.sum(f.cell_values[:, None] * ug * vp * EDGE_QW[None, :]
-               * mesh.boundary_weights[:, None])
-    )
+    bterm = space.boundary_integral(f.cell_values[:, None] * ug * vp)
     return (p * bterm + p * t2 - t3) / (p - 1.0)
 
 
@@ -306,13 +286,11 @@ def deriv_surfdiv_formula(mesh, u0: StateField, f: LoadField, field: TangentFiel
     (p/(p-1)) int (d/ds)(u0(s) v(s)) f(s) ds, with the boundary trace
     interpolated by a periodic cubic spline of the cell averages."""
     p = u0.p
+    space = P1Space.of(mesh)
     spline = _trace_spline(mesh, u0)
-    sg = P1Space.of(mesh).boundary_gauss_points()
+    sg = space.boundary_gauss_points()
     integrand = spline(sg, 1) * field.speed(sg) + spline(sg) * field.speed_prime(sg)
-    total = float(
-        np.sum(f.cell_values[:, None] * integrand * EDGE_QW[None, :]
-               * mesh.boundary_weights[:, None])
-    )
+    total = space.boundary_integral(f.cell_values[:, None] * integrand)
     return p / (p - 1.0) * total
 
 
@@ -340,9 +318,12 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
                             config: SolveConfig, t=1e-3, u_init=None):
     """Central difference (J(f_t) - J(f_{-t})) / (2t) with full solves at
     the exactly-transported loads, both warm-started from ``u_init`` (a
-    ``StateField`` also hands over its factor) if given."""
-    if t <= 0:
-        raise ValueError("finite-difference step t must be positive")
+    ``StateField`` also hands over its factor) if given. A step outside
+    (0, L], L the boundary length, raises ValueError before any solve: a
+    flow beyond one period is no difference quotient at 0."""
+    L = mesh.total_boundary_length
+    if not 0.0 < t <= L:
+        raise ValueError(f"finite-difference step t must lie in (0, {L:g}], got {t}")
     Js = []
     for tau in (t, -t):
         ft = transport_load(mesh, f, field, tau)
@@ -355,7 +336,6 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
 
 @dataclass
 class TransportConvergenceRecord:
-    ts: list
     u_norms: list          # ||u_t - u_0||_{W^{1,p}}
     f_norms: list          # ||f_t - f||_{L^q}, q = p/(p-1)
     u_monotone: bool
@@ -390,7 +370,6 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
         return all(b <= a * MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
 
     return TransportConvergenceRecord(
-        ts=list(t_sequence),
         u_norms=u_norms,
         f_norms=f_norms,
         u_monotone=monotone(u_norms),
@@ -400,35 +379,28 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
 
 @dataclass
 class DerivativeReport:
-    """The four I'(0) estimates with their pairwise relative discrepancies.
+    """The four I'(0) estimates and J(f) of the base solve.
 
-    Discrepancies are |d_i - d_j| / scale with scale = max |d_k| over the
-    four estimates (zero if all estimates vanish). ``J`` is the functional
-    J(f) of the base solve."""
+    ``discrepancies`` maps each pair "a-b" of estimates to
+    |d_a - d_b| / scale with scale = max |d_k| over the four (zero if all
+    estimates vanish)."""
 
     values: dict  # volume, surfdiv, bvjump, findiff, in that order
-    discrepancies: dict
-    t: float
-    p: float
-    field_name: str
-    n_boundary_cells: int
     J: float
 
     @property
+    def discrepancies(self):
+        names = list(self.values)
+        scale = max(abs(v) for v in self.values.values())
+        return {
+            f"{a}-{b}": abs(self.values[a] - self.values[b]) / scale if scale > 0 else 0.0
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+        }
+
+    @property
     def max_discrepancy(self):
-        return max(self.discrepancies.values()) if self.discrepancies else 0.0
-
-
-def pairwise_discrepancies(values):
-    names = list(values)
-    scale = max(abs(v) for v in values.values())
-    out = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            out[f"{a}-{b}"] = (
-                abs(values[a] - values[b]) / scale if scale > 0 else 0.0
-            )
-    return out
+        return max(self.discrepancies.values(), default=0.0)
 
 
 def derivative_report(mesh, f: LoadField, field: TangentField,
@@ -443,12 +415,4 @@ def derivative_report(mesh, f: LoadField, field: TangentField,
             mesh, f, field, config, t, u_init=u0
         ),
     }
-    return DerivativeReport(
-        values=vals,
-        discrepancies=pairwise_discrepancies(vals),
-        t=t,
-        p=config.p,
-        field_name=field.name,
-        n_boundary_cells=mesh.n_boundary_cells,
-        J=rep.J,
-    )
+    return DerivativeReport(values=vals, J=rep.J)

@@ -35,12 +35,12 @@ class LoadField:
     cell_values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.cell_values, dtype=float)
+        # a copy, so the caller's array stays writeable
+        values = np.array(self.cell_values, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"cell values must be 1-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("load values must be finite")
-        values = np.ascontiguousarray(values)
         values.flags.writeable = False
         object.__setattr__(self, "cell_values", values)
 

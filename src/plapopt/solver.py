@@ -149,7 +149,8 @@ class StateField:
 
     def __post_init__(self):
         for name in ("nodal_values", "boundary_trace"):
-            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
+            # a copy, so the caller's array stays writeable
+            a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

@@ -220,6 +220,17 @@ class TestDerivativeCommand:
         assert err.count("\n") == 1
         assert not os.path.exists("d.json")
 
+    def test_step_beyond_one_period_is_config_error(self, workdir, mesh_file, load_file,
+                                                    capsys):
+        # 400 RK4 steps per unit time would make t = 1e300 run forever
+        rc = main(["derivative", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2.0", "--field", "sin:1", "--t", "1e300", "--out", "d.json"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step t must lie in (0, " in err
+        assert err.count("\n") == 1
+        assert not os.path.exists("d.json")
+
 
 class TestSuiteCommand:
     def test_selected_criteria(self, workdir):

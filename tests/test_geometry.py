@@ -61,6 +61,17 @@ class TestDiskMesh:
         with pytest.raises(AttributeError):
             mesh.total_boundary_length = 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        mesh = build_disk_mesh(1.0, 16, 3)
+        arrays = [np.array(a) for a in (mesh.vertices, mesh.triangles, mesh.boundary_loop)]
+        copy = DomainMesh(*arrays)
+        for a in arrays:
+            assert a.flags.writeable
+            a[0] = a[1]
+        assert np.array_equal(copy.vertices, mesh.vertices)
+        assert np.array_equal(copy.triangles, mesh.triangles)
+        assert np.array_equal(copy.boundary_loop, mesh.boundary_loop)
+
     @pytest.mark.parametrize(
         "radius,n,m", [(0.0, 64, 10), (-1.0, 64, 10), (1.0, 7, 10), (1.0, 64, 1)]
     )

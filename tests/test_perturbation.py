@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import step_load_vector, step_lq_distance
-from plapopt import solver
+from plapopt import perturbation, solver
 from plapopt.acceptance import STEP_LEVELS
 from plapopt.fem import P1Space
 from plapopt.geometry import build_disk_mesh, build_square_mesh
 from plapopt.perturbation import (
-    FlowMap,
+    DerivativeReport,
     PiecewiseBoundaryFunction,
     TangentField,
     deriv_bvjump_formula,
@@ -19,6 +19,7 @@ from plapopt.perturbation import (
     deriv_surfdiv_formula,
     deriv_volume_formula,
     derivative_report,
+    flow,
     lq_distance,
     tangent_field,
     transport_load,
@@ -44,47 +45,47 @@ class TestFlowMap:
     def test_constant_speed_translates(self):
         fld = tangent_field("constant", L2PI)
         s = np.array([0.0, 1.0, 4.5])
-        out = FlowMap(fld, 0.5).forward(s)
+        out = flow(fld, s, 0.5)
         assert np.allclose(out, s + 0.5, atol=1e-12)
 
     def test_zero_field_is_identity(self):
         fld = tangent_field("constant:0", L2PI)
         s = np.linspace(0, L2PI, 11)
-        assert np.allclose(FlowMap(fld, 0.7).forward(s), s, atol=1e-15)
+        assert np.allclose(flow(fld, s, 0.7), s, atol=1e-15)
 
     def test_first_order_expansion(self):
         fld = tangent_field("sin:1", L2PI)
         s = np.linspace(0, L2PI, 23, endpoint=False)
         t = 1e-3
-        dev = np.max(np.abs(FlowMap(fld, t).forward(s) - (s + t * np.sin(s))))
+        dev = np.max(np.abs(flow(fld, s, t) - (s + t * np.sin(s))))
         assert dev <= 1e-5
         dev_half = np.max(
-            np.abs(FlowMap(fld, t / 2).forward(s) - (s + t / 2 * np.sin(s)))
+            np.abs(flow(fld, s, t / 2) - (s + t / 2 * np.sin(s)))
         )
         assert 3.5 <= dev / dev_half <= 4.5  # second order in t
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_nonfinite_time_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
-            FlowMap(tangent_field("sin:1", L2PI), t)
+            flow(tangent_field("sin:1", L2PI), np.zeros(3), t)
 
     def test_group_property(self):
         fld = tangent_field("sin:1", L2PI)
         s = np.linspace(0, L2PI, 29, endpoint=False)
-        comp = FlowMap(fld, 0.2).forward(FlowMap(fld, 0.3).forward(s))
-        assert np.max(np.abs(comp - FlowMap(fld, 0.5).forward(s))) <= 1e-9
+        comp = flow(fld, flow(fld, s, 0.3), 0.2)
+        assert np.max(np.abs(comp - flow(fld, s, 0.5))) <= 1e-9
 
 
 class TestTangentialJacobian:
     def test_constant_field_unit_jacobian(self):
         fld = tangent_field("constant", L2PI)
         s = np.linspace(0, L2PI, 9)
-        assert np.allclose(FlowMap(fld, 0.8).jacobian(s), 1.0, atol=1e-13)
+        assert np.allclose(flow(fld, s, 0.8, jacobian=True)[1], 1.0, atol=1e-13)
 
     def test_linearization(self):
         fld = tangent_field("sin:1", L2PI)
         t = 1e-3
-        jac = FlowMap(fld, t).jacobian(np.array([0.0]))
+        _, jac = flow(fld, np.array([0.0]), t, jacobian=True)
         assert jac[0] == pytest.approx(1.0 + t, abs=1e-6)
 
     def test_measure_preserved_over_period(self):
@@ -93,8 +94,16 @@ class TestTangentialJacobian:
         fld = tangent_field("sin:2", L2PI)
         n = 4096
         s = (np.arange(n) + 0.5) * L2PI / n
-        jac = FlowMap(fld, 0.3).jacobian(s)
+        _, jac = flow(fld, s, 0.3, jacobian=True)
         assert np.sum(jac) * L2PI / n == pytest.approx(L2PI, rel=1e-8)
+
+    def test_jacobian_leaves_positions_unchanged(self):
+        fld = tangent_field("sin:1", L2PI)
+        s = np.linspace(0, L2PI, 13, endpoint=False)
+        for t in (0.0, 0.3):
+            pos, jac = flow(fld, s, t, jacobian=True)
+            assert np.array_equal(pos, flow(fld, s, t))
+            assert jac.shape == s.shape
 
 
 def _midpoints(mesh):
@@ -332,6 +341,38 @@ class TestDerivativeFormulas:
             vol = deriv_volume_formula(mesh, u0, f, fld)
             fd = deriv_finite_difference(mesh, f, fld, cfg, 1e-3)
         assert vol == pytest.approx(fd, rel=1e-2)
+
+
+class TestDerivativeReport:
+    NAMES = ("volume", "surfdiv", "bvjump", "findiff")
+
+    def test_six_pairwise_discrepancies(self):
+        rep = DerivativeReport(dict(zip(self.NAMES, (1.0, 2.0, -4.0, 2.0))), J=3.0)
+        assert rep.discrepancies == {
+            "volume-surfdiv": 0.25, "volume-bvjump": 1.25, "volume-findiff": 0.25,
+            "surfdiv-bvjump": 1.5, "surfdiv-findiff": 0.0, "bvjump-findiff": 1.5,
+        }
+        assert rep.max_discrepancy == 1.5
+
+    def test_all_zero_values(self):
+        rep = DerivativeReport(dict.fromkeys(self.NAMES, 0.0), J=0.0)
+        assert len(rep.discrepancies) == 6
+        assert set(rep.discrepancies.values()) == {0.0}
+        assert rep.max_discrepancy == 0.0
+
+
+class TestFiniteDifferenceStep:
+    # the unit disk's boundary length is just below 2 pi < 6.3
+    @pytest.mark.parametrize("t", [0.0, -1e-3, 6.3, 1e300, np.inf, np.nan])
+    def test_step_outside_one_period_refused_before_solving(self, disk, monkeypatch, t):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(perturbation, "solve", no_solve)
+        f = step_load(disk, STEP_LEVELS)
+        fld = tangent_field("sin:1", disk.total_boundary_length)
+        with pytest.raises(ValueError, match="step t must lie in"):
+            deriv_finite_difference(disk, f, fld, SolveConfig(p=2.0), t)
 
 
 class TestUnconvergedSolves:

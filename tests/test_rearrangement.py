@@ -183,6 +183,14 @@ class TestLoadConstructors:
         with pytest.raises(ValueError, match="1-D"):
             LoadField(np.ones((16, 1)))
 
+    def test_caller_array_stays_writeable(self):
+        mesh = build_disk_mesh(1.0, 16, 2)
+        v = np.zeros(16)
+        f = LoadField.from_values(mesh, v)
+        assert v.flags.writeable and not f.cell_values.flags.writeable
+        v[0] = 1.0
+        assert f.cell_values[0] == 0.0
+
     def test_wrong_length_rejected(self):
         mesh = build_disk_mesh(1.0, 16, 2)
         with pytest.raises(ValueError):

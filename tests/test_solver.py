@@ -14,6 +14,7 @@ from plapopt.solver import (
     MAX_NEWTON_ITERS,
     NEWTON_TOL,
     SolveConfig,
+    StateField,
     energy,
     functional_I,
     functional_J,
@@ -251,6 +252,28 @@ class TestSpaceCache:
         solve(other, LoadField.from_values(other, f.cell_values), cfg)
         assert len(built) == 2 and built[1] is other
         assert P1Space.of(other) is not P1Space.of(mesh)
+
+
+class TestBoundaryQuadrature:
+    def test_exact_for_p1_traces(self, disk):
+        # the 2-point rule is exact for a field linear on every cell
+        space = P1Space.of(disk)
+        u = np.random.default_rng(3).normal(size=disk.n_vertices)
+        ua = u[disk.boundary_loop]
+        ub = u[np.roll(disk.boundary_loop, -1)]
+        exact = np.sum(disk.boundary_weights * 0.5 * (ua + ub))
+        got = space.boundary_integral(space.trace_at_gauss(u))
+        assert abs(got - exact) <= 1e-14
+
+
+class TestStateField:
+    def test_caller_arrays_stay_writeable(self):
+        w, t = np.zeros(5), np.ones(3)
+        state = StateField(w, t, 2.0)
+        assert w.flags.writeable and t.flags.writeable
+        assert not state.nodal_values.flags.writeable
+        w[0] = t[0] = 7.0
+        assert state.nodal_values[0] == 0.0 and state.boundary_trace[0] == 1.0
 
 
 class TestSolve:
