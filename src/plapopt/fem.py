@@ -22,8 +22,13 @@ The sparsity pattern of the Hessian is fixed by the mesh, so the space
 precomputes it in compressed-column form together with the map that
 scatters every local element entry (held as a (9, n_t) array) into its
 slot; each Newton step then only computes the entry values and sums
-them with one ``bincount``. The stiffness matrix of
-``harmonic_extension`` is summed into the same pattern.
+them with one ``bincount``. The space keeps two factors of matrices
+summed into the same pattern, each built on first use: the interior
+block of the stiffness matrix K, which ``harmonic_extension`` solves
+with, and K + M, K plus the quadrature mass matrix M
+(``stiffness_mass_factor``). K + M is the Hessian at u = 0 up to the
+scalar eps^{p-2}, and the exact Hessian at p = 2, so the solver
+preconditions the first Newton steps of every cold solve with it.
 The Hessian is symmetric positive definite with a symmetric pattern, so
 the solver orders its sparse LU (the direct solve of a small system, or
 the factor it keeps for a whole solve as CG's preconditioner) by minimum
@@ -157,6 +162,7 @@ class P1Space:
         self.edge_a = loop
         self.edge_b = np.roll(loop, -1)
         self._harmonic = None  # see ``harmonic_extension``
+        self._stiffness_mass = None  # see ``stiffness_mass_factor``
 
     @classmethod
     def of(cls, mesh):
@@ -262,6 +268,16 @@ class P1Space:
         x[self.edge_a] = xb
         x[interior] = lu.solve(-(K_IB @ xb))
         return x
+
+    def stiffness_mass_factor(self):
+        """The sparse LU factor of K + M, the P1 stiffness matrix plus the
+        quadrature mass matrix, factored on first use and kept on the
+        space. At u = 0 the Hessian is eps^{p-2} (K + M) for every p and
+        eps, and at p = 2 it is K + M for every u."""
+        if self._stiffness_mass is None:
+            KM = self._assemble(self.areas * self._gg + self._qq @ self.qweights)
+            self._stiffness_mass = splu(KM, permc_spec="MMD_AT_PLUS_A")
+        return self._stiffness_mass
 
     def load_vector(self, cell_values):
         """Nodal load vector of a cellwise-constant boundary flux."""

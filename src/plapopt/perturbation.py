@@ -314,16 +314,22 @@ def _converged_solve(mesh, f, config, u_init, what):
     return state, rep
 
 
+def _check_step(mesh, t):
+    """Refuse a finite-difference step outside (0, L], L the boundary
+    length, with ValueError: a flow beyond one period is no difference
+    quotient at 0."""
+    L = mesh.total_boundary_length
+    if not 0.0 < t <= L:
+        raise ValueError(f"finite-difference step t must lie in (0, {L:g}], got {t}")
+
+
 def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
                             config: SolveConfig, t=1e-3, u_init=None):
     """Central difference (J(f_t) - J(f_{-t})) / (2t) with full solves at
     the exactly-transported loads, both warm-started from ``u_init`` (a
     ``StateField`` also hands over its factor) if given. A step outside
-    (0, L], L the boundary length, raises ValueError before any solve: a
-    flow beyond one period is no difference quotient at 0."""
-    L = mesh.total_boundary_length
-    if not 0.0 < t <= L:
-        raise ValueError(f"finite-difference step t must lie in (0, {L:g}], got {t}")
+    (0, L] raises ValueError before any solve (see ``_check_step``)."""
+    _check_step(mesh, t)
     Js = []
     for tau in (t, -t):
         ft = transport_load(mesh, f, field, tau)
@@ -405,7 +411,10 @@ class DerivativeReport:
 
 def derivative_report(mesh, f: LoadField, field: TangentField,
                       config: SolveConfig, t=1e-3) -> DerivativeReport:
-    """Solve the base problem once and assemble all four estimates."""
+    """Solve the base problem once and assemble all four estimates. A
+    finite-difference step outside (0, L] raises ValueError before the
+    base solve."""
+    _check_step(mesh, t)
     u0, rep = _converged_solve(mesh, f, config, None, "base solve")
     vals = {
         "volume": deriv_volume_formula(mesh, u0, f, field),

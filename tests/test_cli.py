@@ -216,7 +216,10 @@ class TestDerivativeCommand:
                    "--p", "2.0", *flags, "--out", "d.json"])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "finite" in err
+        # each input's own message: "finite" alone is also in
+        # "finite-difference step", the step-range message
+        message = "step t must lie in (0, " if "--t" in flags else "must be finite"
+        assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert not os.path.exists("d.json")
 

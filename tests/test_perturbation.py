@@ -374,6 +374,23 @@ class TestFiniteDifferenceStep:
         with pytest.raises(ValueError, match="step t must lie in"):
             deriv_finite_difference(disk, f, fld, SolveConfig(p=2.0), t)
 
+    def test_report_refuses_the_step_before_its_base_solve(self, disk, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "solve", counting_solve)
+        f = step_load(disk, STEP_LEVELS)
+        fld = tangent_field("sin:1", disk.total_boundary_length)
+        with pytest.raises(ValueError, match="step t must lie in"):
+            derivative_report(disk, f, fld, SolveConfig(p=1.5), t=1e300)
+        assert calls == []
+        # the wrapper does count: a valid step solves three times
+        derivative_report(disk, f, fld, SolveConfig(p=2.0))
+        assert len(calls) == 3
+
 
 class TestUnconvergedSolves:
     # Newton-starved at p = 3: one stage of 4 steps leaves the base

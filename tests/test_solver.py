@@ -377,7 +377,9 @@ class TestSolve:
         assert len(stages) == 8
         assert np.all(stages[1:] < stages[:-1] / 2.0)
 
-    @pytest.mark.parametrize("p, budget", [(1.1, 80), (1.3, 70), (1.5, 40)])
+    # 42/19/13 steps measured, plus about 20 % (running every stage to
+    # NEWTON_TOL took 67/34/23)
+    @pytest.mark.parametrize("p, budget", [(1.1, 50), (1.3, 23), (1.5, 16)])
     def test_cold_start_newton_budget(self, disk, p, budget):
         # criterion 1's step load from u = 0: every stage converges well
         # within the cap (a Hessian that misjudges the mass curvature
@@ -388,6 +390,19 @@ class TestSolve:
         assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
         assert max(rep.iterations_per_stage) < MAX_NEWTON_ITERS
         assert sum(rep.iterations_per_stage) <= budget
+
+    @pytest.mark.parametrize("p", [1.3, 1.5, 3.0])
+    def test_intermediate_stages_stop_early_at_no_cost_in_J(self, disk, p, monkeypatch):
+        # with STAGE_REDUCTION = 0 every stage runs to NEWTON_TOL
+        f = step_load(disk, STEP_LEVELS)
+        _, inexact = solve(disk, f, SolveConfig(p=p))
+        monkeypatch.setattr(solver, "STAGE_REDUCTION", 0.0)
+        _, exact = solve(disk, f, SolveConfig(p=p))
+        for rep in (inexact, exact):
+            assert rep.converged
+            assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
+        assert abs(inexact.J - exact.J) <= 1e-10 * (1.0 + abs(exact.J))
+        assert sum(inexact.iterations_per_stage) < sum(exact.iterations_per_stage)
 
     @pytest.mark.parametrize("p, scale", [
         pytest.param(p, 10.0 ** k,
@@ -474,6 +489,39 @@ class TestNewtonSystems:
         d = systems.solve(sparse.csc_matrix((n, n)), np.ones(n), 0.1)
         assert np.all(np.isnan(d))
         assert systems.factorizations == 1 and systems.lu is None
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_kept_factor_inverts_the_zero_state_hessian(self, disk, p, eps):
+        # at u = 0 the Hessian is eps^{p-2} (K + M), so
+        # eps^{2-p} (K + M)^{-1} H0 is the identity
+        space = P1Space.of(disk)
+        H0 = space.hessian(np.zeros(disk.n_vertices), p, eps)
+        x = np.random.default_rng(17).normal(size=disk.n_vertices)
+        y = eps ** (2.0 - p) * space.stiffness_mass_factor().solve(H0 @ x)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_kept_factor_inverts_every_p2_hessian(self, disk, eps):
+        space = P1Space.of(disk)
+        rng = np.random.default_rng(18)
+        u, x = 0.5 * rng.normal(size=(2, disk.n_vertices))
+        H = space.hessian(u, 2.0, eps)
+        y = space.stiffness_mass_factor().solve(H @ x)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_cold_solves_start_with_the_kept_factor(self, disk):
+        # the mesh's K + M factor is built once and counted by no solve;
+        # at p = 2 it is exact, so one CG iteration solves the one step
+        f = random_step_load(disk, np.random.default_rng(19))
+        solve(disk, f, SolveConfig(p=2.0))
+        state, rep = solve(disk, f, SolveConfig(p=2.0))
+        assert rep.converged
+        assert rep.factorizations == 0 and rep.cg_iterations == 1
+        assert state.factor is P1Space.of(disk).stiffness_mass_factor()
+        _, rep = solve(disk, step_load(disk, STEP_LEVELS), SolveConfig(p=1.5))
+        assert rep.converged
+        assert rep.factorizations <= 1
 
     def test_small_systems_solve_directly(self):
         mesh = build_disk_mesh(1.0, 8, 2)
