@@ -139,7 +139,7 @@ def cmd_mesh(args):
 
 
 def cmd_solve(args):
-    config = SolveConfig(p=args.p, eps_final=args.eps_final)
+    config = SolveConfig(p=args.p)
     mesh = _load_mesh(args.mesh)
     f = read_load(_existing(args.load, "load"), mesh)
     out = _default_out(args.out, "solve.json")
@@ -292,7 +292,6 @@ def build_parser():
     s.add_argument("--mesh", required=True)
     s.add_argument("--load", required=True)
     s.add_argument("--p", type=float, required=True)
-    s.add_argument("--eps-final", dest="eps_final", type=float, default=1e-8)
     s.add_argument("--out", default=None)
     s.add_argument("--config", default=None)
     s.set_defaults(func=cmd_solve)
@@ -344,7 +343,7 @@ def main(argv=None):
                        if a.dest not in ("help", "config")}
             vars(args).update(parse_config(args.config, actions))
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -200,11 +200,6 @@ class MeshValidationReport:
     def ok(self):
         return not self.violations
 
-    def __str__(self):
-        if self.ok:
-            return "mesh valid"
-        return "mesh invalid:\n" + "\n".join(f"  - {v}" for v in self.violations)
-
 
 def unequal_cell(mesh: DomainMesh):
     """The equal-cell rule: every boundary cell has the arclength L / n_b

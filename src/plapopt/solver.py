@@ -11,23 +11,22 @@ is the Euler-Lagrange equation of
     E_eps(u) = (1/p) int (|grad u|^2 + eps^2)^{p/2} + (u^2 + eps^2)^{p/2} dx
                - int_bdry f u ds,
 
-which is minimized with damped Newton iterations inside a geometric
-continuation loop driving eps from EPS_INITIAL to eps_final by factors of
-EPS_FACTOR, each stage starting from the last; the last stage runs at
-eps_final exactly. Only the last stage runs to NEWTON_TOL. An
-intermediate stage serves only as the start of the next, whose smaller
-eps raises the residual again by orders of magnitude, so it ends once
-its residual norm is STAGE_REDUCTION times the norm it started from:
-enough to start the next stage inside its Newton region, as in inexact
-path-following (Deuflhard, *Newton Methods for Nonlinear Problems*,
-Springer 2004). eps regularizes both terms alike, so the energy is
-smooth and its Hessian exact and SPD for every eps > 0. The limit
-eps -> 0 recovers the p-Laplacian problem.
+which is minimized with damped Newton iterations inside a continuation
+loop over the fixed decreasing ladder EPS_STAGES (0.1 down to 1e-8 by
+decades), each stage starting from the last. Only the stage at the last
+rung runs to NEWTON_TOL. An intermediate stage serves only as the start
+of the next, whose smaller eps raises the residual again by orders of
+magnitude, so it ends once its residual norm is STAGE_REDUCTION times
+the norm it started from: enough to start the next stage inside its
+Newton region, as in inexact path-following (Deuflhard, *Newton Methods
+for Nonlinear Problems*, Springer 2004). eps regularizes both terms
+alike, so the energy is smooth and its Hessian exact and SPD for every
+eps > 0. The limit eps -> 0 recovers the p-Laplacian problem.
 
 A warm start (a given ``u_init``, typically the solution for a nearby
-load) skips the continuation: its first stage runs directly at
-eps_final, for at most WARM_MAX_ITERS Newton steps. Only if that stage
-misses does the full schedule run, again from ``u_init``.
+load) skips the continuation: its first stage runs directly at the last
+rung, for at most WARM_MAX_ITERS Newton steps. Only if that stage misses
+does the whole ladder run, again from ``u_init``.
 
 Each Newton step is inexact. A sparse LU factorization costs 20 to 30
 triangular solves with a kept factor, and a Hessian changes little from
@@ -95,23 +94,21 @@ P_MIN, P_MAX = 1.1, 10.0
 ARMIJO = 1e-4
 LINE_SEARCH_SHRINK = 0.5
 
-# Continuation: eps starts at EPS_INITIAL and shrinks by EPS_FACTOR per
-# stage down to SolveConfig.eps_final, for at most MAX_NEWTON_ITERS
-# Newton steps per stage. The stage at eps_final runs until the residual
-# norm is at most NEWTON_TOL; every earlier stage only until it is at
-# most STAGE_REDUCTION times the norm the stage started from (or
-# NEWTON_TOL, if that is larger), since the next eps moves the residual
-# far above that anyway. On criterion 1's step load (64x10 disk) that
-# takes a cold solve from 67/34/23 to 42/19/13 Newton steps at
-# p = 1.1/1.3/1.5, with J unchanged to rounding.
-EPS_INITIAL = 1e-1
-EPS_FACTOR = 0.1
+# Continuation: a cold solve runs one stage at each eps of EPS_STAGES,
+# for at most MAX_NEWTON_ITERS Newton steps per stage. The stage at the
+# last rung runs until the residual norm is at most NEWTON_TOL; every
+# earlier stage only until it is at most STAGE_REDUCTION times the norm
+# the stage started from (or NEWTON_TOL, if that is larger), since the
+# next eps moves the residual far above that anyway. On criterion 1's
+# step load (64x10 disk) that takes a cold solve from 67/34/23 to
+# 42/19/13 Newton steps at p = 1.1/1.3/1.5, with J unchanged to rounding.
+EPS_STAGES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 NEWTON_TOL = 1e-10
 STAGE_REDUCTION = 0.1
 MAX_NEWTON_ITERS = 60
 
-# Warm starts: the first stage runs at eps_final for at most
-# min(WARM_MAX_ITERS, MAX_NEWTON_ITERS) steps before the full schedule is
+# Warm starts: the first stage runs at EPS_STAGES[-1] for at most
+# min(WARM_MAX_ITERS, MAX_NEWTON_ITERS) steps before the whole ladder is
 # tried. On the optimizer's p = 1.5 warm solves (64x10 disk) a warm
 # stage allowed 60 steps converged within 12 in 18 of 38 solves; the
 # rest took 13-59 steps or capped, and a warm solve averaged 31.8 Newton
@@ -136,20 +133,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """The exponent p and the regularization eps_final of the last stage.
+    """The exponent p, the one setting of a solve.
 
-    p is clamped to [1.1, 10]; outside that range the Hessian conditioning
-    makes the plain Newton scheme unreliable at this scale.
+    A p outside [1.1, 10] raises ValueError: beyond that range the Hessian
+    conditioning makes the plain Newton scheme unreliable at this scale.
     """
 
     p: float
-    eps_final: float = 1e-8
 
     def __post_init__(self):
         if not P_MIN <= self.p <= P_MAX:
             raise ValueError(f"p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
-        if not 0.0 < self.eps_final <= EPS_INITIAL:
-            raise ValueError(f"need 0 < eps_final <= {EPS_INITIAL}")
 
 
 @dataclass(frozen=True)
@@ -176,15 +170,14 @@ class StateField:
 
 @dataclass
 class SolveReport:
-    converged: bool
     final_residual: float
     iterations_per_stage: list
     eps_stages: list
-    # why each stage stopped: "converged" (NEWTON_TOL at eps_final, the
-    # reduction by STAGE_REDUCTION at an intermediate eps), "cap" (its step
-    # budget reached) or "stall" (the line search found no acceptable
-    # step). A warm start whose eps_final stage missed lists that stage
-    # first, then the full schedule from EPS_INITIAL.
+    # why each stage stopped: "converged" (NEWTON_TOL at the last rung of
+    # EPS_STAGES, the reduction by STAGE_REDUCTION at an earlier one),
+    # "cap" (its step budget reached) or "stall" (the line search found no
+    # acceptable step). A warm start whose stage at the last rung missed
+    # lists that stage first, then the whole ladder.
     stage_exits: list
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
@@ -197,6 +190,11 @@ class SolveReport:
     J: float = 0.0
     I: float = 0.0
     duality_gap: float = 0.0
+
+    @property
+    def converged(self):
+        """The last stage, always one at the last rung, met NEWTON_TOL."""
+        return self.stage_exits[-1] == "converged"
 
 
 def _nodal(u):
@@ -241,18 +239,6 @@ def residual(mesh, u, f, p, eps):
     """Nodal gradient of E_eps; zero at the discrete solution."""
     _check_state(mesh, u)
     return P1Space.of(mesh).residual(_nodal(u), _load_vector(mesh, f), p, eps)
-
-
-def _eps_schedule(eps_final):
-    """The eps of every stage of a cold solve: EPS_INITIAL, shrunk by
-    EPS_FACTOR per stage, ending exactly at eps_final. A product within
-    rounding of eps_final (EPS_INITIAL * EPS_FACTOR^7 is
-    1.0000000000000005e-08) is eps_final, so no stage repeats the last."""
-    stages = [EPS_INITIAL]
-    while stages[-1] > eps_final:
-        eps = stages[-1] * EPS_FACTOR
-        stages.append(eps_final if eps <= eps_final * (1.0 + 1e-9) else eps)
-    return stages
 
 
 def _pcg(H, rhs, lu, rtol):
@@ -376,15 +362,16 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     its load vector is built once per solve.
 
     Without ``u_init`` the solve starts from u = 0, with the mesh's K + M
-    factor, and runs the whole eps schedule. ``u_init`` (a ``StateField``
-    or nodal values) makes it a warm start: one stage at eps_final with a
-    budget of WARM_MAX_ITERS Newton steps, and the full schedule from
-    ``u_init`` only if that stage misses. A ``StateField`` solved at the
-    same p also hands over its kept factor (see the module docstring).
+    factor, and runs one stage per rung of EPS_STAGES. ``u_init`` (a
+    ``StateField`` or nodal values) makes it a warm start: one stage at
+    EPS_STAGES[-1] with a budget of WARM_MAX_ITERS Newton steps, and the
+    whole ladder from ``u_init`` only if that stage misses. A
+    ``StateField`` solved at the same p also hands over its kept factor
+    (see the module docstring).
 
     Returns (StateField, SolveReport). The state carries the factor this
     solve kept; the report carries the functionals J and I and their gap.
-    ``converged`` means the residual norm at eps_final dropped below
+    ``converged`` means the residual norm at EPS_STAGES[-1] dropped below
     NEWTON_TOL. On non-convergence the partial state is still returned.
     """
     space = P1Space.of(mesh)
@@ -406,8 +393,7 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
 
     def stage(u, eps, max_iters):
         nonlocal fallbacks
-        # every eps of the schedule but the last is above eps_final
-        final = eps == config.eps_final
+        final = eps == EPS_STAGES[-1]
         u, it, fb, rnorm, reason = _newton_stage(
             space, u, b, p, eps, systems, max_iters, final
         )
@@ -420,16 +406,15 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     reason = None
     if u_init is not None:
         budget = min(WARM_MAX_ITERS, MAX_NEWTON_ITERS)
-        u, rnorm, reason = stage(u_start, config.eps_final, budget)
+        u, rnorm, reason = stage(u_start, EPS_STAGES[-1], budget)
     if reason != "converged":
         u = u_start
-        for eps in _eps_schedule(config.eps_final):
+        for eps in EPS_STAGES:
             u, rnorm, _ = stage(u, eps, MAX_NEWTON_ITERS)
     state = StateField(u, space.trace_average(u), p, systems.lu)
     J = float(b @ u)
     I = _dual_I(space, u, J, p)
     report = SolveReport(
-        converged=bool(rnorm <= NEWTON_TOL),
         final_residual=float(rnorm),
         iterations_per_stage=iters,
         eps_stages=eps_list,

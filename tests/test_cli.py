@@ -131,6 +131,13 @@ class TestSolveCommand:
             )
             assert not os.path.exists("out")
 
+    def test_eps_is_no_option(self, workdir, mesh_file, load_file, capsys):
+        rc = main(["solve", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2.0", "--eps-final", "1e-6", "--out", "s.json"])
+        assert rc == EXIT_CONFIG
+        assert "--eps-final" in capsys.readouterr().err
+        assert not os.path.exists("s.json")
+
     def test_bad_p_is_config_error(self, workdir, mesh_file, load_file):
         for command, load_flag, extra in (
             ("solve", "--load", []),
@@ -295,6 +302,13 @@ class TestParseConfig:
         rc, err = _solve_with_config({"mesh": "m.txt", "loda": "f.txt"}, capsys)
         assert rc == EXIT_CONFIG
         assert "unknown config keys ['loda']" in err
+        assert not os.path.exists("s.json")
+
+    def test_eps_final_key_rejected(self, workdir, mesh_file, load_file, capsys):
+        cfg = {"mesh": str(mesh_file), "load": str(load_file), "eps_final": 1e-6}
+        rc, err = _solve_with_config(cfg, capsys)
+        assert rc == EXIT_CONFIG
+        assert "unknown config keys ['eps_final']" in err
         assert not os.path.exists("s.json")
 
     def test_out_of_range_p_rejected(self, workdir, mesh_file, load_file, capsys):

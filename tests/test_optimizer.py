@@ -5,6 +5,7 @@ import pytest
 
 from plapopt.geometry import DomainMesh, build_disk_mesh, validate_mesh
 from plapopt.optimizer import (
+    J_TOL,
     OptimizeConfig,
     maximize_over_rearrangements,
 )
@@ -90,6 +91,18 @@ class TestMaximize:
         f2, _, h2 = maximize_over_rearrangements(small_disk, f0, cfg)
         assert np.array_equal(f1.cell_values, f2.cell_values)
         assert [r.J for r in h1.records] == [r.J for r in h2.records]
+
+    def test_restart_ties_go_to_the_earliest(self):
+        # on the symmetric disk later restarts reach rotated copies of
+        # restart 0's fixed point, whose J differ from its J by rounding
+        # (one by 4e-14): no better load
+        mesh = build_disk_mesh(1.0, 64, 10)
+        f0 = binary_load(mesh, 16)
+        one, _, _ = maximize_over_rearrangements(mesh, f0, _config(1.5, 1, 11))
+        five, _, hist = maximize_over_rearrangements(mesh, f0, _config(1.5, 5, 11))
+        assert np.array_equal(five.cell_values, one.cell_values)
+        (_, J0, _), *later = hist.restart_results
+        assert sum(abs(J - J0) <= J_TOL * (1.0 + abs(J0)) for _, J, _ in later) >= 2
 
     def test_history_records_defect_path(self, small_disk):
         f0 = binary_load(small_disk, 8, start=11)

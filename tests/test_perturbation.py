@@ -26,7 +26,7 @@ from plapopt.perturbation import (
     transported_solution_check,
 )
 from plapopt.rearrangement import LoadField, binary_load, step_load
-from plapopt.solver import EPS_INITIAL, SolveConfig, SolverError, solve
+from plapopt.solver import EPS_STAGES, SolveConfig, SolverError, solve
 
 L2PI = 2.0 * np.pi
 
@@ -395,10 +395,11 @@ class TestFiniteDifferenceStep:
 class TestUnconvergedSolves:
     # Newton-starved at p = 3: one stage of 4 steps leaves the base
     # residual at 2.6e-4
-    STARVED = SolveConfig(p=3.0, eps_final=EPS_INITIAL)
+    STARVED = SolveConfig(p=3.0)
 
     @pytest.fixture(autouse=True)
     def starve(self, monkeypatch):
+        monkeypatch.setattr(solver, "EPS_STAGES", EPS_STAGES[:1])
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
 
     def test_derivative_report_refuses_unconverged_base(self, disk):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,7 +12,7 @@ from plapopt.geometry import build_disk_mesh, triangle_signed_areas
 from plapopt.perturbation import derivative_report, tangent_field, transport_load
 from plapopt.rearrangement import LoadField, random_step_load, step_load
 from plapopt.solver import (
-    EPS_INITIAL,
+    EPS_STAGES,
     MAX_NEWTON_ITERS,
     NEWTON_TOL,
     SolveConfig,
@@ -133,7 +135,7 @@ class TestResidual:
         f = LoadField.constant(disk, 1.0)
         cfg = SolveConfig(p=3.0)
         u, rep = solve(disk, f, cfg)
-        r = residual(disk, u, f, p=3.0, eps=cfg.eps_final)
+        r = residual(disk, u, f, p=3.0, eps=EPS_STAGES[-1])
         assert np.linalg.norm(r) <= NEWTON_TOL
 
     @pytest.mark.parametrize("eps", [0.1, 1e-8])
@@ -341,8 +343,9 @@ class TestSolve:
     def test_nonconvergence_returns_partial_state(self, disk, monkeypatch):
         f = LoadField.constant(disk, 1.0)
         # single continuation stage and a starved iteration budget
+        monkeypatch.setattr(solver, "EPS_STAGES", EPS_STAGES[:1])
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
-        u, rep = solve(disk, f, SolveConfig(p=3.0, eps_final=EPS_INITIAL))
+        u, rep = solve(disk, f, SolveConfig(p=3.0))
         assert not rep.converged
         assert rep.stage_exits == ["cap"]
         assert rep.final_residual > NEWTON_TOL
@@ -363,19 +366,13 @@ class TestSolve:
             monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         u, rep = solve(disk, f, cfg, u_init=start)
         assert rep.converged == (kind != "capped")
-        fresh = np.linalg.norm(residual(disk, u, f, cfg.p, cfg.eps_final))
+        fresh = np.linalg.norm(residual(disk, u, f, cfg.p, EPS_STAGES[-1]))
         assert rep.final_residual == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("eps_final", [1e-8, 3e-8])
-    def test_eps_schedule_ends_exactly_at_eps_final(self, disk, eps_final):
-        # 0.1 * 0.1**7 rounds to 1.0000000000000005e-08, which must not
-        # add a stage at 1e-8
-        _, rep = solve(disk, LoadField.constant(disk, 1.0),
-                       SolveConfig(p=2.0, eps_final=eps_final))
-        stages = np.array(rep.eps_stages)
-        assert stages[0] == EPS_INITIAL and stages[-1] == eps_final
-        assert len(stages) == 8
-        assert np.all(stages[1:] < stages[:-1] / 2.0)
+    def test_cold_solve_runs_the_ladder(self, disk):
+        _, rep = solve(disk, LoadField.constant(disk, 1.0), SolveConfig(p=2.0))
+        assert rep.eps_stages == list(EPS_STAGES)
+        assert all(b < a for a, b in zip(EPS_STAGES, EPS_STAGES[1:]))
 
     # 42/19/13 steps measured, plus about 20 % (running every stage to
     # NEWTON_TOL took 67/34/23)
@@ -437,8 +434,12 @@ class TestSolve:
             SolveConfig(p=0.5)
         with pytest.raises(ValueError):
             SolveConfig(p=11.0)
-        with pytest.raises(ValueError):
-            SolveConfig(p=2.0, eps_final=1.0)
+
+    def test_p_is_the_only_setting(self):
+        # eps is the solver's own ladder, not a setting of a solve
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == ["p"]
+        with pytest.raises(TypeError):
+            SolveConfig(p=2.0, eps_final=1e-8)
 
 
 @pytest.fixture(scope="module", params=[1.5, 3.0])
@@ -549,7 +550,7 @@ class TestWarmStart:
         _, cfg, state, _ = neighbours
         f = step_load(disk, STEP_LEVELS)
         again, rep = solve(disk, f, cfg, u_init=state)
-        assert rep.eps_stages == [cfg.eps_final]
+        assert rep.eps_stages == [EPS_STAGES[-1]]
         assert rep.iterations_per_stage == [0]
         assert rep.factorizations == rep.cg_iterations == 0
         assert rep.J == solve(disk, f, cfg)[1].J
@@ -560,7 +561,7 @@ class TestWarmStart:
         ft, cfg, state, cold = neighbours
         _, rep = solve(disk, ft, cfg, u_init=state)
         assert rep.converged
-        assert rep.eps_stages == [cfg.eps_final]
+        assert rep.eps_stages == [EPS_STAGES[-1]]
         assert rep.stage_exits == ["converged"]
         assert 0 < rep.iterations_per_stage[0] <= solver.WARM_MAX_ITERS
         assert abs(rep.J - cold.J) <= 1e-6 * (1.0 + abs(cold.J))
@@ -594,7 +595,7 @@ class TestWarmStart:
         monkeypatch.setattr(solver, "WARM_MAX_ITERS", 1)
         _, rep = solve(disk, ft, cfg, u_init=state)
         assert rep.converged
-        assert rep.eps_stages == [cfg.eps_final] + cold.eps_stages
+        assert rep.eps_stages == [EPS_STAGES[-1]] + cold.eps_stages
         assert rep.stage_exits[0] == "cap"
         assert rep.iterations_per_stage[0] == 1
         assert rep.stage_exits[1:] == ["converged"] * len(cold.eps_stages)
