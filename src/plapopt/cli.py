@@ -191,8 +191,11 @@ def cmd_optimize(args):
         ],
     )
     best = max(res[1] for res in hist.restart_results)
+    returned = hist.restart_results[hist.returned_restart]
     summary = {
         "J_best": best,
+        # the restart fhat.txt comes from, and its J
+        "returned": {"restart": returned[0], "J": returned[1]},
         "restarts": [
             {"restart": r, "J": J, "fixed_point": fp}
             for r, J, fp in hist.restart_results

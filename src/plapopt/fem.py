@@ -7,10 +7,19 @@ boundary quadrature uses 2-point Gauss per cell. Gradients of P1 fields
 are constant per triangle.
 
 A space is built once per mesh (``P1Space.of``) and kept on the mesh.
-It holds two fixed sparse operators: G (2 n_t x n) maps nodal values to
-the gradient on every triangle (``gradient``), Q (3 n_t x n) to the
-values at every quadrature point (``values_at_qp``); the residual
-applies their transposes. An ``Evaluation`` of a field u at (p, eps)
+It holds two fixed operators: G (2 n_t x n) maps nodal values to the
+gradient on every triangle (``gradient``), Q (3 n_t x n) to the values
+at every quadrature point. ``images`` computes G u and Q u with one
+product by the stacked operator [G; Q], of which G and Q are row blocks,
+so no operator is stored twice. The residual keeps its two products by
+the transposes G^T and Q^T apart: one product by [G; Q]^T adds the two
+terms in another order, and that rounding was enough to move a p = 1.1
+solve at load scale 1e3 across NEWTON_TOL. Below PCG_MIN_VERTICES
+vertices the operators and their transposes are dense arrays, because
+there a sparse product costs mostly call overhead (G u on the 17-vertex
+disk: 1.3 us dense, 3.8 us CSR, single-threaded BLAS); from there on
+they are CSR, and the images of the stacked product equal separate
+products by G and Q bitwise. An ``Evaluation`` of a field u at (p, eps)
 holds the images G u and Q u, s = |grad u|^2 + eps^2, m = u^2 + eps^2
 and one power of each, s^{p/2} and m^{p/2}; energy, residual and
 Hessian all derive their coefficients from it, so a Newton iterate is
@@ -53,6 +62,14 @@ TRI_QW = np.array([1 / 3, 1 / 3, 1 / 3])
 EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_QW = np.array([0.5, 0.5])
 
+# A mesh of fewer than PCG_MIN_VERTICES vertices is small: its space holds
+# G and Q dense (see the module docstring), and the solver solves each of
+# its Newton systems directly, since there a factorization costs no more
+# than a few CG iterations. Measured on cold disk solves at p = 1.5 and 3,
+# CG took 1.00-1.06x the direct time at 49 vertices, 0.95-1.01x at 61,
+# 0.84-0.93x at 81 and 0.62-0.64x at 2561.
+PCG_MIN_VERTICES = 64
+
 
 def _over(a, s, eps):
     """a / s, and 0 where s = 0.
@@ -65,6 +82,16 @@ def _over(a, s, eps):
     if eps * eps > 0.0:
         return a / s
     return np.divide(a, s, out=np.zeros_like(s), where=s > 0.0)
+
+
+def _sharing(matrix, data, indices):
+    """The sparse ``matrix`` holding the arrays ``data`` and ``indices``.
+
+    scipy copies an array handed to a sparse constructor that is a view of
+    less than half of its base; G is 2/5 of [G; Q], so its arrays, and
+    those of its transpose, are put back after construction."""
+    matrix.data, matrix.indices = data, indices
+    return matrix
 
 
 class Evaluation:
@@ -127,21 +154,33 @@ class P1Space:
         self._hat = hat
         self.qweights = TRI_QW[:, None] * self.areas[None, :]  # (3, n_t)
 
-        # G (row d n_t + t: component d of the gradient on triangle t) and
-        # Q (row q n_t + t: the value at quadrature point q of triangle t)
-        # give each row three entries, in the columns of the triangle's
-        # vertices. Their transposes share their arrays.
-        def operator(values):
-            k = values.shape[0]
-            return sparse.csr_matrix(
-                (values.ravel(), np.tile(tri.ravel(), k).astype(np.intc),
-                 np.arange(0, 3 * k * n_t + 1, 3, dtype=np.intc)),
-                shape=(k * n_t, self.n),
-            )
+        # S = [G; Q]: row d n_t + t is component d of the gradient on
+        # triangle t, row (2 + q) n_t + t the value at its quadrature point
+        # q. Every row holds three entries, in the columns of the
+        # triangle's vertices. A CSR product computes every row on its own,
+        # so the images of S u equal G u and Q u bitwise.
+        values = np.concatenate(
+            [hat.transpose(0, 2, 1), np.repeat(TRI_QP[:, None, :], n_t, axis=1)]
+        ).ravel()
+        columns = np.tile(tri.ravel(), 5).astype(np.intc)
+        k = 2 * n_t  # rows of G
 
-        self.G = operator(hat.transpose(0, 2, 1))
-        self.Q = operator(np.repeat(TRI_QP[:, None, :], n_t, axis=1))
-        self._Gt, self._Qt = self.G.T, self.Q.T
+        def block(lo, hi):
+            data, cols = values[3 * lo:3 * hi], columns[3 * lo:3 * hi]
+            indptr = np.arange(0, data.size + 1, 3, dtype=np.intc)
+            A = sparse.csr_matrix((data, cols, indptr), shape=(hi - lo, self.n))
+            return _sharing(A, data, cols)
+
+        self._S = block(0, 5 * n_t)
+        if self.n < PCG_MIN_VERTICES:
+            self._S = self._S.toarray()
+            self.G, self.Q = self._S[:k], self._S[k:]
+            self._Gt, self._Qt = self.G.T, self.Q.T
+        else:
+            self.G, self.Q = block(0, k), block(k, 5 * n_t)
+            self._Gt, self._Qt = (
+                _sharing(A.T, A.data, A.indices) for A in (self.G, self.Q)
+            )
 
         # Local Hessian entry 3i+j of triangle t, stored at [3i+j, t],
         # couples tri[t, i] (row) and tri[t, j] (column); the pattern is
@@ -179,14 +218,13 @@ class P1Space:
         (2, n_t), and (2, n_t, k) for the k columns of a u of shape (n, k)."""
         return (self.G @ u).reshape((2, -1) + np.shape(u)[1:])
 
-    def values_at_qp(self, u):
-        """Q u, the values of the nodal field u at the volume quadrature
-        points; (3, n_t)."""
-        return (self.Q @ u).reshape(3, -1)
-
     def images(self, u):
-        """(G u, Q u), from which an ``Evaluation`` starts."""
-        return self.gradient(u), self.values_at_qp(u)
+        """(G u, Q u), from which an ``Evaluation`` starts: the gradient of
+        the nodal field u on every triangle, (2, n_t), and its values at
+        the volume quadrature points, (3, n_t); one product by [G; Q]."""
+        y = self._S @ u
+        k = 2 * self.areas.size
+        return y[:k].reshape(2, -1), y[k:].reshape(3, -1)
 
     def evaluate(self, u, p, eps):
         """The ``Evaluation`` of the nodal field u at (p, eps)."""

@@ -16,8 +16,10 @@ best iterate wins. A later restart replaces the best only if its J is
 higher by more than J_TOL (1 + |J|), so ties go to the earliest restart:
 on a symmetric domain restarts reach rotated copies of one fixed point
 whose J differ only by solver rounding, and rounding must not pick the
-returned load. The ``J_best`` of the CLI's ``summary.json`` stays the
-maximum J over restarts, within that tolerance of the returned load's J.
+returned load. ``OptimizeHistory.returned_restart`` names the restart
+whose load is returned. The ``J_best`` of the CLI's ``summary.json`` stays
+the maximum J over restarts, within that tolerance of the returned load's
+J, which the summary gives beside it.
 """
 
 from dataclasses import dataclass, field
@@ -69,6 +71,8 @@ class IterationRecord:
 @dataclass
 class OptimizeHistory:
     records: list = field(default_factory=list)
+    # the restart whose load and state maximize_over_rearrangements returned
+    returned_restart: int = 0
 
     def per_restart(self, r):
         return [rec for rec in self.records if rec.restart == r]
@@ -98,7 +102,7 @@ def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
     rng = np.random.default_rng(config.seed)
     history = OptimizeHistory()
 
-    best = None  # (J, f, state)
+    best = None  # (J, f, state, restart)
     for restart in range(config.n_restarts):
         if restart == 0:
             f = f0
@@ -107,7 +111,8 @@ def maximize_over_rearrangements(mesh, f0: LoadField, config: OptimizeConfig):
         f, state = _run_single(mesh, f, config, restart, history)
         J = history.records[-1].J
         if best is None or J - best[0] > J_TOL * (1.0 + abs(J)):
-            best = (J, f, state)
+            best = (J, f, state, restart)
+    history.returned_restart = best[3]
     return best[1], best[2], history
 
 

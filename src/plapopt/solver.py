@@ -47,16 +47,24 @@ an inexact Newton method", SIAM J. Sci. Comput. 17, 1996). When CG
 misses eta within CG_MAX_ITERS iterations, the current Hessian is
 factored afresh, solved directly and kept in place of the old factor.
 Below PCG_MIN_VERTICES a factorization is as cheap as a few CG
-iterations, and every step is a direct ``spsolve``. The stop test, the
-line search and the steepest-descent fallback are the same on both
-paths.
+iterations, and every step is a direct ``spsolve``. There the space holds
+its gradient and quadrature operators dense (see ``fem``), but the
+Hessian stays CSC and the step stays ``spsolve``: a dense Hessian solved
+by ``np.linalg.solve`` would be cheaper still at that size, but the
+benchmark (``perfbench``) traces the direct path through
+``solver.spsolve``. The stop test, the line search and the
+steepest-descent fallback are the same on both paths.
 
 Each Newton iterate is evaluated once (``P1Space.evaluate``): its
 energy, residual, Hessian and stop test share its images and powers.
 Line-search trials u + alpha d are evaluated from the images of u and
 d. An accepted trial is evaluated afresh from its nodal values, so the
 residual that stops a stage and ``SolveReport.final_residual`` are
-those of the state returned.
+those of the state returned. The images do not depend on eps: each stage
+starts from those of the iterate the last stage returned, and I is
+evaluated at eps = 0 from those of the returned state. A solve thus makes
+one image product at its start and two per Newton step, the direction's
+and the accepted iterate's.
 
 The boundary functional J(f) = int f u_f ds equals, at the solution, the
 supremum of
@@ -71,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu, spsolve
 
-from .fem import P1Space
+from .fem import PCG_MIN_VERTICES, Evaluation, P1Space
 from .rearrangement import LoadField
 
 __all__ = [
@@ -115,14 +123,11 @@ MAX_NEWTON_ITERS = 60
 # steps against 22.8 with this budget.
 WARM_MAX_ITERS = 12
 
-# Newton systems (see ``_NewtonSystems``): below PCG_MIN_VERTICES every
-# step is a direct ``spsolve``. From there on, CG preconditioned by a kept
-# factor solves each step to the forcing term eta (at most ETA_MAX) and
-# refactors when CG_MAX_ITERS iterations do not reach it. Measured on
-# cold disk solves at p = 1.5 and 3, CG took 1.00-1.06x the direct time
-# at 49 vertices, 0.95-1.01x at 61, 0.84-0.93x at 81 and 0.62-0.64x at
-# 2561.
-PCG_MIN_VERTICES = 64
+# Newton systems (see ``_NewtonSystems``): below PCG_MIN_VERTICES (defined
+# in ``fem``, which holds a small mesh's operators dense) every step is a
+# direct ``spsolve``. From there on, CG preconditioned by a kept factor
+# solves each step to the forcing term eta (at most ETA_MAX) and refactors
+# when CG_MAX_ITERS iterations do not reach it.
 ETA_MAX = 0.1
 CG_MAX_ITERS = 10
 
@@ -224,8 +229,9 @@ def _load_vector(mesh, f):
     return space.load_vector_from_function(f.breaks, f.values)
 
 
-def _dual_I(space, u, J, p):
-    grad_term, mass_term = space.integrate_lp(u, p)
+def _dual_I(space, u, J, p, at=None):
+    """I(u) given J = b.u; ``at`` is u's evaluation at (p, 0), if known."""
+    grad_term, mass_term = space.integrate_lp(u, p, at=at)
     return (p * J - grad_term - mass_term) / (p - 1.0)
 
 
@@ -294,17 +300,19 @@ class _NewtonSystems:
         return self.lu.solve(rhs)
 
 
-def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
-    """Damped inexact Newton at fixed eps for at most ``max_iters`` steps;
-    ``systems`` solves each step to the forcing term's tolerance. A
-    ``final`` stage stops at NEWTON_TOL, any other at its reduction
-    target (see STAGE_REDUCTION); a non-finite starting residual has no
-    reduction target, so such a stage too aims at NEWTON_TOL.
+def _newton_stage(space, u, images, b, p, eps, systems, max_iters, final):
+    """Damped inexact Newton at fixed eps for at most ``max_iters`` steps,
+    from u with ``images`` = (G u, Q u); ``systems`` solves each step to
+    the forcing term's tolerance. A ``final`` stage stops at NEWTON_TOL,
+    any other at its reduction target (see STAGE_REDUCTION); a non-finite
+    starting residual has no reduction target, so such a stage too aims
+    at NEWTON_TOL.
 
-    Returns (u, iterations, fallbacks, residual_norm, reason), where
-    reason is "converged", "cap" or "stall" (see ``SolveReport.stage_exits``)."""
+    Returns (u, images, iterations, fallbacks, residual_norm, reason),
+    with the images of the returned u, where reason is "converged", "cap"
+    or "stall" (see ``SolveReport.stage_exits``)."""
     fallbacks = 0
-    at = space.evaluate(u, p, eps)
+    at = Evaluation(*images, p, eps)
     E = space.energy(u, b, p, eps, at)
     r = space.residual(u, b, p, eps, at)
     rnorm = np.linalg.norm(r)
@@ -314,7 +322,7 @@ def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
     eta = ETA_MAX
     for it in range(max_iters):
         if rnorm <= tol:
-            return u, it, fallbacks, rnorm, "converged"
+            return u, (at.grad, at.uq), it, fallbacks, rnorm, "converged"
         H = space.hessian(u, p, eps, at)
         with np.errstate(all="ignore"):
             d = systems.solve(H, -r, eta)
@@ -338,7 +346,7 @@ def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
             alpha *= LINE_SEARCH_SHRINK
         else:
             # Energy cannot decrease along d within machine steps.
-            return u, it + 1, fallbacks, rnorm, "stall"
+            return u, (at.grad, at.uq), it + 1, fallbacks, rnorm, "stall"
         # The accepted iterate is evaluated afresh: the trial's images
         # carry the rounding of every step taken, and the residual and
         # stop test must hold at the u that is returned.
@@ -352,7 +360,7 @@ def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
         # which ETA_MAX = 0.1 rules out.
         eta = min(ETA_MAX, 0.9 * (rnorm / rnorm_old) ** 2)
     reason = "converged" if rnorm <= tol else "cap"
-    return u, max_iters, fallbacks, rnorm, reason
+    return u, (at.grad, at.uq), max_iters, fallbacks, rnorm, reason
 
 
 def solve(mesh, f, config: SolveConfig, u_init=None):
@@ -391,29 +399,31 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     eps_list, iters, exits = [], [], []
     fallbacks = 0
 
-    def stage(u, eps, max_iters):
+    def stage(u, images, eps, max_iters):
         nonlocal fallbacks
         final = eps == EPS_STAGES[-1]
-        u, it, fb, rnorm, reason = _newton_stage(
-            space, u, b, p, eps, systems, max_iters, final
+        u, images, it, fb, rnorm, reason = _newton_stage(
+            space, u, images, b, p, eps, systems, max_iters, final
         )
         eps_list.append(eps)
         iters.append(it)
         exits.append(reason)
         fallbacks += fb
-        return u, rnorm, reason
+        return u, images, rnorm, reason
 
+    # the images do not depend on eps (see the module docstring)
+    start = (u_start, space.images(u_start))
     reason = None
     if u_init is not None:
         budget = min(WARM_MAX_ITERS, MAX_NEWTON_ITERS)
-        u, rnorm, reason = stage(u_start, EPS_STAGES[-1], budget)
+        u, images, rnorm, reason = stage(*start, EPS_STAGES[-1], budget)
     if reason != "converged":
-        u = u_start
+        u, images = start
         for eps in EPS_STAGES:
-            u, rnorm, _ = stage(u, eps, MAX_NEWTON_ITERS)
+            u, images, rnorm, _ = stage(u, images, eps, MAX_NEWTON_ITERS)
     state = StateField(u, space.trace_average(u), p, systems.lu)
     J = float(b @ u)
-    I = _dual_I(space, u, J, p)
+    I = _dual_I(space, u, J, p, Evaluation(*images, p, 0.0))
     report = SolveReport(
         final_residual=float(rnorm),
         iterations_per_stage=iters,

@@ -168,6 +168,21 @@ class TestOptimizeCommand:
         assert summary["seed"] == 3
         assert len(summary["restarts"]) == 2
 
+    def test_summary_names_the_returned_restart(self, workdir):
+        # restart 3's J is 4e-14 above restart 0's, a rounding tie: J_best
+        # is restart 3's J, and fhat.txt is restart 0's load
+        assert main(["mesh", "--n", "64", "--out", "m64.txt"]) == EXIT_OK
+        write_load("f64.txt", binary_load(read_mesh("m64.txt"), 16))
+        assert main(["optimize", "--mesh", "m64.txt", "--load0", "f64.txt",
+                     "--p", "1.5", "--restarts", "5", "--seed", "11",
+                     "--out", "opt"]) == EXIT_OK
+        with open("opt/summary.json") as fh:
+            summary = json.load(fh)
+        J = [r["J"] for r in summary["restarts"]]
+        assert summary["returned"] == {"restart": 0, "J": J[0]}
+        assert summary["J_best"] == max(J)
+        assert abs(summary["J_best"] - J[0]) <= 1e-9 * (1.0 + abs(J[0]))
+
     def test_history_counts_solver_work(self, workdir, mesh_file, load_file):
         assert main(["optimize", "--mesh", str(mesh_file), "--load0", str(load_file),
                      "--p", "1.5", "--out", "run"]) == EXIT_OK

@@ -101,6 +101,7 @@ class TestMaximize:
         one, _, _ = maximize_over_rearrangements(mesh, f0, _config(1.5, 1, 11))
         five, _, hist = maximize_over_rearrangements(mesh, f0, _config(1.5, 5, 11))
         assert np.array_equal(five.cell_values, one.cell_values)
+        assert hist.returned_restart == 0
         (_, J0, _), *later = hist.restart_results
         assert sum(abs(J - J0) <= J_TOL * (1.0 + abs(J0)) for _, J, _ in later) >= 2
 

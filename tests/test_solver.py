@@ -51,6 +51,15 @@ def disk():
 
 
 @pytest.fixture(scope="module")
+def small_disk():
+    """The 17-vertex disk, below PCG_MIN_VERTICES: its space holds the
+    operators dense, where ``disk``'s are CSR."""
+    mesh = build_disk_mesh(1.0, 8, 2)
+    assert isinstance(P1Space.of(mesh).G, np.ndarray)
+    return mesh
+
+
+@pytest.fixture(scope="module")
 def disk_area(disk):
     return triangle_signed_areas(disk.vertices, disk.triangles).sum()
 
@@ -79,25 +88,27 @@ class TestEnergy:
 
     @pytest.mark.parametrize("eps", [0.1, 1e-8])
     @pytest.mark.parametrize("p", KERNEL_PS)
-    def test_matches_reference(self, disk, p, eps):
-        rng = np.random.default_rng(14)
-        u = 0.5 * rng.normal(size=disk.n_vertices)
-        b = 0.1 * rng.normal(size=disk.n_vertices)
-        E = P1Space.of(disk).energy(u, b, p, eps)
-        assert E == pytest.approx(reference_energy(disk, u, b, p, eps), rel=1e-13)
+    def test_matches_reference(self, disk, small_disk, p, eps):
+        for mesh in (disk, small_disk):
+            rng = np.random.default_rng(14)
+            u = 0.5 * rng.normal(size=mesh.n_vertices)
+            b = 0.1 * rng.normal(size=mesh.n_vertices)
+            E = P1Space.of(mesh).energy(u, b, p, eps)
+            assert E == pytest.approx(reference_energy(mesh, u, b, p, eps), rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.1, 3.0])
-    def test_trial_from_images_matches_fresh_energy(self, disk, p):
+    def test_trial_from_images_matches_fresh_energy(self, disk, small_disk, p):
         # a line-search trial is evaluated from the images of u and d
-        rng = np.random.default_rng(15)
-        u, d = 0.5 * rng.normal(size=(2, disk.n_vertices))
-        b = 0.1 * rng.normal(size=disk.n_vertices)
-        space = P1Space.of(disk)
-        at, images = space.evaluate(u, p, 1e-8), space.images(d)
-        for alpha in (1.0, 0.5, 2.0 ** -20):
-            fresh = space.energy(u + alpha * d, b, p, 1e-8)
-            trial = space.energy(u + alpha * d, b, p, 1e-8, at.along(images, alpha))
-            assert trial == pytest.approx(fresh, rel=1e-13)
+        for mesh in (disk, small_disk):
+            rng = np.random.default_rng(15)
+            u, d = 0.5 * rng.normal(size=(2, mesh.n_vertices))
+            b = 0.1 * rng.normal(size=mesh.n_vertices)
+            space = P1Space.of(mesh)
+            at, images = space.evaluate(u, p, 1e-8), space.images(d)
+            for alpha in (1.0, 0.5, 2.0 ** -20):
+                fresh = space.energy(u + alpha * d, b, p, 1e-8)
+                trial = space.energy(u + alpha * d, b, p, 1e-8, at.along(images, alpha))
+                assert trial == pytest.approx(fresh, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
     def test_lp_integrals_vanish_where_the_field_does(self, disk, p):
@@ -140,13 +151,14 @@ class TestResidual:
 
     @pytest.mark.parametrize("eps", [0.1, 1e-8])
     @pytest.mark.parametrize("p", KERNEL_PS)
-    def test_matches_reference(self, disk, p, eps):
-        rng = np.random.default_rng(16)
-        u = 0.5 * rng.normal(size=disk.n_vertices)
-        b = 0.1 * rng.normal(size=disk.n_vertices)
-        r = P1Space.of(disk).residual(u, b, p, eps)
-        ref = reference_residual(disk, u, b, p, eps)
-        assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
+    def test_matches_reference(self, disk, small_disk, p, eps):
+        for mesh in (disk, small_disk):
+            rng = np.random.default_rng(16)
+            u = 0.5 * rng.normal(size=mesh.n_vertices)
+            b = 0.1 * rng.normal(size=mesh.n_vertices)
+            r = P1Space.of(mesh).residual(u, b, p, eps)
+            ref = reference_residual(mesh, u, b, p, eps)
+            assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_matches_energy_finite_difference(self, disk):
         # central difference of the energy in random nodal directions
@@ -165,13 +177,14 @@ class TestResidual:
 
 class TestHessian:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_matches_coo_reference(self, disk, p):
-        rng = np.random.default_rng(11)
-        u = 0.5 * rng.normal(size=disk.n_vertices)
-        H = P1Space.of(disk).hessian(u, p, 0.01)
-        ref = reference_hessian(disk, u, p, 0.01)
-        assert H.format == "csc" and H.shape == ref.shape
-        assert abs(H - ref).max() <= 1e-13 * abs(ref).max()
+    def test_matches_coo_reference(self, disk, small_disk, p):
+        for mesh in (disk, small_disk):
+            rng = np.random.default_rng(11)
+            u = 0.5 * rng.normal(size=mesh.n_vertices)
+            H = P1Space.of(mesh).hessian(u, p, 0.01)
+            ref = reference_hessian(mesh, u, p, 0.01)
+            assert H.format == "csc" and H.shape == ref.shape
+            assert abs(H - ref).max() <= 1e-13 * abs(ref).max()
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_symmetric(self, disk, p):
@@ -254,6 +267,29 @@ class TestSpaceCache:
         solve(other, LoadField.from_values(other, f.cell_values), cfg)
         assert len(built) == 2 and built[1] is other
         assert P1Space.of(other) is not P1Space.of(mesh)
+
+
+class TestOperators:
+    def test_dense_gradient_of_columns_matches_csr(self, small_disk):
+        # perturbation takes the gradient of a k-column field
+        space = P1Space.of(small_disk)
+        V = np.random.default_rng(20).normal(size=(small_disk.n_vertices, 3))
+        ref = (sparse.csr_matrix(space.G) @ V).reshape(2, -1, 3)
+        grad = space.gradient(V)
+        assert grad.shape == ref.shape
+        assert np.max(np.abs(grad - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_stacked_images_equal_separate_csr_products(self, disk):
+        # G, Q and their transposes hold slices of [G; Q]'s arrays
+        space = P1Space.of(disk)
+        assert sparse.issparse(space.G) and sparse.issparse(space.Q)
+        for A in (space.G, space.Q, space._Gt, space._Qt):
+            assert np.shares_memory(A.data, space._S.data)
+            assert np.shares_memory(A.indices, space._S.indices)
+        u = np.random.default_rng(21).normal(size=disk.n_vertices)
+        grad, uq = space.images(u)
+        assert np.array_equal(grad.ravel(), space.G @ u)
+        assert np.array_equal(uq.ravel(), space.Q @ u)
 
 
 class TestBoundaryQuadrature:
@@ -368,6 +404,23 @@ class TestSolve:
         assert rep.converged == (kind != "capped")
         fresh = np.linalg.norm(residual(disk, u, f, cfg.p, EPS_STAGES[-1]))
         assert rep.final_residual == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+    def test_one_image_product_per_iterate_and_direction(self, small_disk, monkeypatch):
+        # one product at the start and, per Newton step, one for the
+        # direction and one for the accepted iterate: the images carry
+        # over every stage boundary and serve I at the end
+        calls = []
+        images = P1Space.images
+
+        def counting_images(self, u):
+            calls.append(u)
+            return images(self, u)
+
+        monkeypatch.setattr(P1Space, "images", counting_images)
+        f = step_load(small_disk, STEP_LEVELS)
+        _, rep = solve(small_disk, f, SolveConfig(p=1.5))
+        assert rep.converged and len(rep.eps_stages) == len(EPS_STAGES)
+        assert len(calls) == 1 + 2 * sum(rep.iterations_per_stage)
 
     def test_cold_solve_runs_the_ladder(self, disk):
         _, rep = solve(disk, LoadField.constant(disk, 1.0), SolveConfig(p=2.0))
