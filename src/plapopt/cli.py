@@ -215,9 +215,10 @@ def cmd_derivative(args):
     out = _default_out(args.out, "derivative.json")
     field = tangent_field(args.field, mesh.total_boundary_length)
     rep = derivative_report(mesh, f, field, config, t=args.t)
+    discrepancies = rep.discrepancies
     payload = {
         "estimates": rep.values,
-        "discrepancies": rep.discrepancies,
+        "discrepancies": discrepancies,
         "max_discrepancy": rep.max_discrepancy,
         "t": args.t,
         "p": config.p,
@@ -226,15 +227,15 @@ def cmd_derivative(args):
         **_provenance(args, args.mesh),
     }
     write_json(out, payload)
+    rows = []
+    for pair, rel in discrepancies.items():
+        a, b = pair.split("-")
+        rows.append((a, b, rep.values[a], rep.values[b], rel))
     stem, _ = os.path.splitext(out)
     write_csv(
         stem + "-agreement.csv",
         ["estimate_a", "estimate_b", "value_a", "value_b", "rel_discrepancy"],
-        [
-            (a, b, rep.values[a], rep.values[b], rep.discrepancies[f"{a}-{b}"])
-            for i, a in enumerate(rep.values)
-            for b in list(rep.values)[i + 1:]
-        ],
+        rows,
     )
     print(f"wrote {out}: max discrepancy {rep.max_discrepancy:.3e}")
     return EXIT_OK

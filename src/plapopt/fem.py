@@ -9,23 +9,19 @@ are constant per triangle.
 A space is built once per mesh (``P1Space.of``) and kept on the mesh.
 It holds two fixed operators: G (2 n_t x n) maps nodal values to the
 gradient on every triangle (``gradient``), Q (3 n_t x n) to the values
-at every quadrature point. ``images`` computes G u and Q u with one
-product by the stacked operator [G; Q], of which G and Q are row blocks,
-so no operator is stored twice. The residual keeps its two products by
-the transposes G^T and Q^T apart: one product by [G; Q]^T adds the two
-terms in another order, and that rounding was enough to move a p = 1.1
-solve at load scale 1e3 across NEWTON_TOL. Below PCG_MIN_VERTICES
-vertices the operators and their transposes are dense arrays, because
+at every quadrature point. The residual applies their transposes G^T and
+Q^T as two products, not as one product by the transpose of the stacked
+[G; Q]: that adds the two terms in another order, and the rounding was
+enough to move a p = 1.1 solve at load scale 1e3 across NEWTON_TOL.
+Below PCG_MIN_VERTICES vertices the operators are dense arrays, because
 there a sparse product costs mostly call overhead (G u on the 17-vertex
 disk: 1.3 us dense, 3.8 us CSR, single-threaded BLAS); from there on
-they are CSR, and the images of the stacked product equal separate
-products by G and Q bitwise. An ``Evaluation`` of a field u at (p, eps)
-holds the images G u and Q u, s = |grad u|^2 + eps^2, m = u^2 + eps^2
-and one power of each, s^{p/2} and m^{p/2}; energy, residual and
-Hessian all derive their coefficients from it, so a Newton iterate is
-evaluated once for all three. The images are linear in u, so a
-line-search trial u + alpha d is evaluated from those of u and d
-without another product.
+they are CSR. An ``Evaluation`` of a field u at (p, eps) holds G u and
+Q u, s = |grad u|^2 + eps^2, m = u^2 + eps^2 and one power of each,
+s^{p/2} and m^{p/2}; energy, residual and Hessian all derive their
+coefficients from it. Every field the solver meets, a line-search trial
+or the start of a stage, is evaluated once from its nodal values, and an
+accepted trial's evaluation serves the next Newton step.
 
 The sparsity pattern of the Hessian is fixed by the mesh, so the space
 precomputes it in compressed-column form together with the map that
@@ -84,16 +80,6 @@ def _over(a, s, eps):
     return np.divide(a, s, out=np.zeros_like(s), where=s > 0.0)
 
 
-def _sharing(matrix, data, indices):
-    """The sparse ``matrix`` holding the arrays ``data`` and ``indices``.
-
-    scipy copies an array handed to a sparse constructor that is a view of
-    less than half of its base; G is 2/5 of [G; Q], so its arrays, and
-    those of its transpose, are put back after construction."""
-    matrix.data, matrix.indices = data, indices
-    return matrix
-
-
 class Evaluation:
     """A nodal field u evaluated at one (p, eps): its images under the
     space's operators and the powers that energy, residual and Hessian
@@ -102,26 +88,17 @@ class Evaluation:
     ``grad`` (2, n_t) is G u, the gradient on every triangle; ``uq``
     (3, n_t) is Q u, the value at every quadrature point. With
     s = |grad u|^2 + eps^2 and m = u^2 + eps^2 it holds ``sp`` = s^{p/2}
-    and ``mp`` = m^{p/2}, one power per field. The images are linear in
-    u, so ``along`` evaluates u + alpha d from the images of d without
-    touching the mesh."""
+    and ``mp`` = m^{p/2}, one power per field."""
 
-    __slots__ = ("grad", "uq", "p", "eps", "s", "m", "sp", "mp")
+    __slots__ = ("grad", "uq", "s", "m", "sp", "mp")
 
     def __init__(self, grad, uq, p, eps):
         e2 = eps * eps
-        self.grad, self.uq, self.p, self.eps = grad, uq, p, eps
+        self.grad, self.uq = grad, uq
         self.s = grad[0] * grad[0] + grad[1] * grad[1] + e2
         self.m = uq * uq + e2
         self.sp = self.s ** (p / 2.0)
         self.mp = self.m ** (p / 2.0)
-
-    def along(self, images, alpha):
-        """The evaluation of u + alpha d, given ``images`` = (G d, Q d)."""
-        grad, uq = images
-        return Evaluation(
-            self.grad + alpha * grad, self.uq + alpha * uq, self.p, self.eps
-        )
 
 
 class P1Space:
@@ -154,33 +131,21 @@ class P1Space:
         self._hat = hat
         self.qweights = TRI_QW[:, None] * self.areas[None, :]  # (3, n_t)
 
-        # S = [G; Q]: row d n_t + t is component d of the gradient on
-        # triangle t, row (2 + q) n_t + t the value at its quadrature point
-        # q. Every row holds three entries, in the columns of the
-        # triangle's vertices. A CSR product computes every row on its own,
-        # so the images of S u equal G u and Q u bitwise.
-        values = np.concatenate(
-            [hat.transpose(0, 2, 1), np.repeat(TRI_QP[:, None, :], n_t, axis=1)]
-        ).ravel()
-        columns = np.tile(tri.ravel(), 5).astype(np.intc)
-        k = 2 * n_t  # rows of G
-
-        def block(lo, hi):
-            data, cols = values[3 * lo:3 * hi], columns[3 * lo:3 * hi]
-            indptr = np.arange(0, data.size + 1, 3, dtype=np.intc)
-            A = sparse.csr_matrix((data, cols, indptr), shape=(hi - lo, self.n))
-            return _sharing(A, data, cols)
-
-        self._S = block(0, 5 * n_t)
-        if self.n < PCG_MIN_VERTICES:
-            self._S = self._S.toarray()
-            self.G, self.Q = self._S[:k], self._S[k:]
-            self._Gt, self._Qt = self.G.T, self.Q.T
-        else:
-            self.G, self.Q = block(0, k), block(k, 5 * n_t)
-            self._Gt, self._Qt = (
-                _sharing(A.T, A.data, A.indices) for A in (self.G, self.Q)
+        # G: row d n_t + t is component d of the gradient on triangle t;
+        # Q: row q n_t + t is the value at quadrature point q of triangle
+        # t. Every row holds three entries, in the columns of the
+        # triangle's vertices.
+        def operator(values):
+            A = sparse.csr_matrix(
+                (values.ravel(), np.tile(tri.ravel(), len(values)).astype(np.intc),
+                 np.arange(0, values.size + 1, 3, dtype=np.intc)),
+                shape=(values.size // 3, self.n),
             )
+            return A.toarray() if self.n < PCG_MIN_VERTICES else A
+
+        self.G = operator(hat.transpose(0, 2, 1))
+        self.Q = operator(np.repeat(TRI_QP[:, None, :], n_t, axis=1))
+        self._Gt, self._Qt = self.G.T, self.Q.T
 
         # Local Hessian entry 3i+j of triangle t, stored at [3i+j, t],
         # couples tri[t, i] (row) and tri[t, j] (column); the pattern is
@@ -218,17 +183,9 @@ class P1Space:
         (2, n_t), and (2, n_t, k) for the k columns of a u of shape (n, k)."""
         return (self.G @ u).reshape((2, -1) + np.shape(u)[1:])
 
-    def images(self, u):
-        """(G u, Q u), from which an ``Evaluation`` starts: the gradient of
-        the nodal field u on every triangle, (2, n_t), and its values at
-        the volume quadrature points, (3, n_t); one product by [G; Q]."""
-        y = self._S @ u
-        k = 2 * self.areas.size
-        return y[:k].reshape(2, -1), y[k:].reshape(3, -1)
-
     def evaluate(self, u, p, eps):
         """The ``Evaluation`` of the nodal field u at (p, eps)."""
-        return Evaluation(*self.images(u), p, eps)
+        return Evaluation(self.gradient(u), (self.Q @ u).reshape(3, -1), p, eps)
 
     def integrate_lp(self, u, p, eps=0.0, at=None):
         """(integral of (|grad u|^2 + eps^2)^{p/2}, integral of

@@ -205,8 +205,10 @@ def unequal_cell(mesh: DomainMesh):
     """The equal-cell rule: every boundary cell has the arclength L / n_b
     of an equal split of the boundary length L, to relative
     EQUAL_WEIGHT_RTOL. Returns a description of the first cell that
-    breaks it, or None."""
+    breaks it, or None; a boundary of no cells has no such split."""
     lengths = mesh.boundary_weights
+    if lengths.size == 0:
+        return "boundary loop is empty"
     target = mesh.total_boundary_length / lengths.size
     rel = np.abs(lengths - target) / target
     bad = np.nonzero(rel > EQUAL_WEIGHT_RTOL)[0]
@@ -243,6 +245,9 @@ def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
 
     loop = mesh.boundary_loop
     n_b = loop.size
+    if n_b == 0:  # the checks below need boundary cells
+        v.append("boundary loop is empty")
+        return MeshValidationReport(v)
     if np.unique(loop).size != n_b:
         v.append("boundary loop revisits a vertex (not a single cycle)")
     loop_edges = {

@@ -55,16 +55,13 @@ benchmark (``perfbench``) traces the direct path through
 ``solver.spsolve``. The stop test, the line search and the
 steepest-descent fallback are the same on both paths.
 
-Each Newton iterate is evaluated once (``P1Space.evaluate``): its
-energy, residual, Hessian and stop test share its images and powers.
-Line-search trials u + alpha d are evaluated from the images of u and
-d. An accepted trial is evaluated afresh from its nodal values, so the
-residual that stops a stage and ``SolveReport.final_residual`` are
-those of the state returned. The images do not depend on eps: each stage
-starts from those of the iterate the last stage returned, and I is
-evaluated at eps = 0 from those of the returned state. A solve thus makes
-one image product at its start and two per Newton step, the direction's
-and the accepted iterate's.
+Every field a solve meets, the start of a stage or a line-search trial
+u + alpha d, is evaluated once from its nodal values
+(``P1Space.evaluate``). An accepted trial's evaluation and energy are
+those of the next iterate, whose residual, Hessian and stop test share
+them, so the residual that stops a stage and
+``SolveReport.final_residual`` are those of the state returned. I is
+evaluated afresh at eps = 0.
 
 The boundary functional J(f) = int f u_f ds equals, at the solution, the
 supremum of
@@ -79,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu, spsolve
 
-from .fem import PCG_MIN_VERTICES, Evaluation, P1Space
+from .fem import PCG_MIN_VERTICES, P1Space
 from .rearrangement import LoadField
 
 __all__ = [
@@ -229,9 +226,9 @@ def _load_vector(mesh, f):
     return space.load_vector_from_function(f.breaks, f.values)
 
 
-def _dual_I(space, u, J, p, at=None):
-    """I(u) given J = b.u; ``at`` is u's evaluation at (p, 0), if known."""
-    grad_term, mass_term = space.integrate_lp(u, p, at=at)
+def _dual_I(space, u, J, p):
+    """I(u) given J = b.u."""
+    grad_term, mass_term = space.integrate_lp(u, p)
     return (p * J - grad_term - mass_term) / (p - 1.0)
 
 
@@ -300,19 +297,18 @@ class _NewtonSystems:
         return self.lu.solve(rhs)
 
 
-def _newton_stage(space, u, images, b, p, eps, systems, max_iters, final):
+def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
     """Damped inexact Newton at fixed eps for at most ``max_iters`` steps,
-    from u with ``images`` = (G u, Q u); ``systems`` solves each step to
-    the forcing term's tolerance. A ``final`` stage stops at NEWTON_TOL,
-    any other at its reduction target (see STAGE_REDUCTION); a non-finite
-    starting residual has no reduction target, so such a stage too aims
-    at NEWTON_TOL.
+    from u; ``systems`` solves each step to the forcing term's tolerance.
+    A ``final`` stage stops at NEWTON_TOL, any other at its reduction
+    target (see STAGE_REDUCTION); a non-finite starting residual has no
+    reduction target, so such a stage too aims at NEWTON_TOL.
 
-    Returns (u, images, iterations, fallbacks, residual_norm, reason),
-    with the images of the returned u, where reason is "converged", "cap"
-    or "stall" (see ``SolveReport.stage_exits``)."""
+    Returns (u, iterations, fallbacks, residual_norm, reason), where
+    reason is "converged", "cap" or "stall" (see
+    ``SolveReport.stage_exits``)."""
     fallbacks = 0
-    at = Evaluation(*images, p, eps)
+    at = space.evaluate(u, p, eps)
     E = space.energy(u, b, p, eps, at)
     r = space.residual(u, b, p, eps, at)
     rnorm = np.linalg.norm(r)
@@ -322,7 +318,7 @@ def _newton_stage(space, u, images, b, p, eps, systems, max_iters, final):
     eta = ETA_MAX
     for it in range(max_iters):
         if rnorm <= tol:
-            return u, (at.grad, at.uq), it, fallbacks, rnorm, "converged"
+            return u, it, fallbacks, rnorm, "converged"
         H = space.hessian(u, p, eps, at)
         with np.errstate(all="ignore"):
             d = systems.solve(H, -r, eta)
@@ -331,28 +327,21 @@ def _newton_stage(space, u, images, b, p, eps, systems, max_iters, final):
             d = -r  # singular or non-descent direction: steepest descent
             slope = -float(rnorm * rnorm)
             fallbacks += 1
-        # the images are linear in u: every trial is evaluated from those
-        # of u and d
-        images = space.images(d)
         alpha = 1.0
         # rounding slack: near the minimum the true energy decrease falls
         # below float resolution while the step is still productive
         slack = 1e-14 * (1.0 + abs(E))
         for _ in range(80):
             u_try = u + alpha * d
-            E_try = space.energy(u_try, b, p, eps, at.along(images, alpha))
+            at_try = space.evaluate(u_try, p, eps)
+            E_try = space.energy(u_try, b, p, eps, at_try)
             if np.isfinite(E_try) and E_try <= E + ARMIJO * alpha * slope + slack:
                 break
             alpha *= LINE_SEARCH_SHRINK
         else:
             # Energy cannot decrease along d within machine steps.
-            return u, (at.grad, at.uq), it + 1, fallbacks, rnorm, "stall"
-        # The accepted iterate is evaluated afresh: the trial's images
-        # carry the rounding of every step taken, and the residual and
-        # stop test must hold at the u that is returned.
-        u = u_try
-        at = space.evaluate(u, p, eps)
-        E = space.energy(u, b, p, eps, at)
+            return u, it + 1, fallbacks, rnorm, "stall"
+        u, at, E = u_try, at_try, E_try
         r = space.residual(u, b, p, eps, at)
         rnorm, rnorm_old = np.linalg.norm(r), rnorm
         # Eisenstat-Walker choice 2 (gamma 0.9, alpha 2). Its safeguard
@@ -360,7 +349,7 @@ def _newton_stage(space, u, images, b, p, eps, systems, max_iters, final):
         # which ETA_MAX = 0.1 rules out.
         eta = min(ETA_MAX, 0.9 * (rnorm / rnorm_old) ** 2)
     reason = "converged" if rnorm <= tol else "cap"
-    return u, (at.grad, at.uq), max_iters, fallbacks, rnorm, reason
+    return u, max_iters, fallbacks, rnorm, reason
 
 
 def solve(mesh, f, config: SolveConfig, u_init=None):
@@ -396,40 +385,30 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
         if isinstance(u_init, StateField) and u_init.p == p:
             start_factor = u_init.factor
     systems = _NewtonSystems(space.n, start_factor)
-    eps_list, iters, exits = [], [], []
-    fallbacks = 0
+    stages = []  # (eps, iterations, fallbacks, residual norm, exit) per stage
 
-    def stage(u, images, eps, max_iters):
-        nonlocal fallbacks
+    def stage(u, eps, max_iters):
         final = eps == EPS_STAGES[-1]
-        u, images, it, fb, rnorm, reason = _newton_stage(
-            space, u, images, b, p, eps, systems, max_iters, final
-        )
-        eps_list.append(eps)
-        iters.append(it)
-        exits.append(reason)
-        fallbacks += fb
-        return u, images, rnorm, reason
+        u, *run = _newton_stage(space, u, b, p, eps, systems, max_iters, final)
+        stages.append((eps, *run))
+        return u
 
-    # the images do not depend on eps (see the module docstring)
-    start = (u_start, space.images(u_start))
-    reason = None
     if u_init is not None:
-        budget = min(WARM_MAX_ITERS, MAX_NEWTON_ITERS)
-        u, images, rnorm, reason = stage(*start, EPS_STAGES[-1], budget)
-    if reason != "converged":
-        u, images = start
+        u = stage(u_start, EPS_STAGES[-1], min(WARM_MAX_ITERS, MAX_NEWTON_ITERS))
+    if u_init is None or stages[-1][-1] != "converged":
+        u = u_start
         for eps in EPS_STAGES:
-            u, images, rnorm, _ = stage(u, images, eps, MAX_NEWTON_ITERS)
+            u = stage(u, eps, MAX_NEWTON_ITERS)
+    eps_list, iters, fallbacks, rnorms, exits = (list(c) for c in zip(*stages))
     state = StateField(u, space.trace_average(u), p, systems.lu)
     J = float(b @ u)
-    I = _dual_I(space, u, J, p, Evaluation(*images, p, 0.0))
+    I = _dual_I(space, u, J, p)
     report = SolveReport(
-        final_residual=float(rnorm),
+        final_residual=float(rnorms[-1]),
         iterations_per_stage=iters,
         eps_stages=eps_list,
         stage_exits=exits,
-        gradient_fallbacks=fallbacks,
+        gradient_fallbacks=sum(fallbacks),
         factorizations=systems.factorizations,
         cg_iterations=systems.cg_iterations,
         J=J,

@@ -16,11 +16,14 @@ from plapopt.fileio import (
     file_sha256,
     read_load,
     read_mesh,
+    write_csv,
     write_load,
     write_mesh,
 )
 from plapopt.geometry import DomainMesh, validate_mesh
+from plapopt.perturbation import derivative_report, tangent_field
 from plapopt.rearrangement import binary_load, step_load
+from plapopt.solver import SolveConfig
 
 
 @pytest.fixture()
@@ -110,6 +113,17 @@ class TestSolveCommand:
                    "--p", "2.0", "--out", "s.json"])
         assert rc == EXIT_CONFIG
         assert "names vertex 999, but the mesh has 17 vertices" in capsys.readouterr().err
+        assert not os.path.exists("s.json")
+
+    @pytest.mark.parametrize("text", ["MESH2D 3 1 0\n0 0\n1 0\n0 1\n0 1 2\n",
+                                      "MESH2D 0 0 0\n"], ids=["triangle", "nothing"])
+    def test_empty_boundary_loop_is_config_error(self, workdir, capsys, text):
+        (workdir / "e.txt").write_text(text)
+        (workdir / "f.txt").write_text("1.0\n")
+        rc = main(["solve", "--mesh", "e.txt", "--load", "f.txt",
+                   "--p", "2.0", "--out", "s.json"])
+        assert rc == EXIT_CONFIG
+        assert "invalid: boundary loop is empty" in capsys.readouterr().err
         assert not os.path.exists("s.json")
 
     def test_missing_mesh_is_config_error(self, workdir):
@@ -209,6 +223,28 @@ class TestDerivativeCommand:
             rep = json.load(fh)
         assert set(rep["estimates"]) == {"volume", "surfdiv", "bvjump", "findiff"}
         assert os.path.exists("d-agreement.csv")
+
+    def test_agreement_rows_are_the_discrepancies(self, workdir, mesh_file, load_file):
+        rc = main(["derivative", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2.0", "--field", "cos:1", "--t", "1e-3", "--out", "d.json"])
+        assert rc == EXIT_OK
+        mesh = read_mesh(mesh_file)
+        field = tangent_field("cos:1", mesh.total_boundary_length)
+        rep = derivative_report(mesh, read_load(load_file, mesh), field,
+                                SolveConfig(p=2.0), t=1e-3)
+        est, disc = rep.values, rep.discrepancies
+        header, *rows = (line.split(",") for line in
+                         (workdir / "d-agreement.csv").read_text().splitlines())
+        assert [f"{a}-{b}" for a, b, *_ in rows] == list(disc)
+        for a, b, va, vb, rel in rows:
+            assert (float(va), float(vb), float(rel)) == (est[a], est[b], disc[f"{a}-{b}"])
+        # byte for byte the file written from every pair of estimates in turn
+        names = list(est)
+        write_csv("pairs.csv", header, [
+            (a, b, est[a], est[b], disc[f"{a}-{b}"])
+            for i, a in enumerate(names) for b in names[i + 1:]
+        ])
+        assert file_sha256("pairs.csv") == file_sha256("d-agreement.csv")
 
     def test_square_mesh_agreement(self, workdir):
         assert main(["mesh", "--shape", "square", "--n", "32", "--out", "sq.txt"]) == EXIT_OK

@@ -8,6 +8,7 @@ from plapopt.geometry import (
     build_disk_mesh,
     build_square_mesh,
     triangle_signed_areas,
+    unequal_cell,
     validate_mesh,
 )
 
@@ -138,6 +139,15 @@ class TestValidateMesh:
                            rtol=0, atol=1e-15)
         normals = np.column_stack([t[:, 1], -t[:, 0]])
         assert np.einsum("cd,cd->c", 0.5 * (a + b), normals).min() > 0
+
+    @pytest.mark.parametrize("n_vertices", [3, 0])
+    def test_empty_boundary_loop_detected(self, n_vertices):
+        # a triangle whose loop lists no vertex, and a mesh of nothing
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:n_vertices]
+        triangles = np.arange(n_vertices).reshape(-1, 3)
+        bad = DomainMesh(vertices, triangles, np.zeros(0, dtype=np.int64))
+        assert unequal_cell(bad) == "boundary loop is empty"
+        assert validate_mesh(bad).violations == ["boundary loop is empty"]
 
     @pytest.mark.parametrize("mesh", [build_disk_mesh(1.0, 16, 3),
                                       build_square_mesh(1.0, 4)],

@@ -96,20 +96,6 @@ class TestEnergy:
             E = P1Space.of(mesh).energy(u, b, p, eps)
             assert E == pytest.approx(reference_energy(mesh, u, b, p, eps), rel=1e-13)
 
-    @pytest.mark.parametrize("p", [1.1, 3.0])
-    def test_trial_from_images_matches_fresh_energy(self, disk, small_disk, p):
-        # a line-search trial is evaluated from the images of u and d
-        for mesh in (disk, small_disk):
-            rng = np.random.default_rng(15)
-            u, d = 0.5 * rng.normal(size=(2, mesh.n_vertices))
-            b = 0.1 * rng.normal(size=mesh.n_vertices)
-            space = P1Space.of(mesh)
-            at, images = space.evaluate(u, p, 1e-8), space.images(d)
-            for alpha in (1.0, 0.5, 2.0 ** -20):
-                fresh = space.energy(u + alpha * d, b, p, 1e-8)
-                trial = space.energy(u + alpha * d, b, p, 1e-8, at.along(images, alpha))
-                assert trial == pytest.approx(fresh, rel=1e-13)
-
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
     def test_lp_integrals_vanish_where_the_field_does(self, disk, p):
         # at eps = 0 a flat triangle and a zero value add exactly 0
@@ -279,17 +265,24 @@ class TestOperators:
         assert grad.shape == ref.shape
         assert np.max(np.abs(grad - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    def test_stacked_images_equal_separate_csr_products(self, disk):
-        # G, Q and their transposes hold slices of [G; Q]'s arrays
-        space = P1Space.of(disk)
-        assert sparse.issparse(space.G) and sparse.issparse(space.Q)
-        for A in (space.G, space.Q, space._Gt, space._Qt):
-            assert np.shares_memory(A.data, space._S.data)
-            assert np.shares_memory(A.indices, space._S.indices)
-        u = np.random.default_rng(21).normal(size=disk.n_vertices)
-        grad, uq = space.images(u)
-        assert np.array_equal(grad.ravel(), space.G @ u)
-        assert np.array_equal(uq.ravel(), space.Q @ u)
+    def test_transposes_share_the_operators_arrays(self, disk, small_disk):
+        # G and Q each own their arrays, and _Gt, _Qt are views of them
+        for mesh in (disk, small_disk):
+            space = P1Space.of(mesh)
+            G, Q = space.G, space.Q
+            assert sparse.issparse(G) == (mesh is disk)
+            if mesh is disk:
+                assert not np.shares_memory(G.data, Q.data)
+                for A, At in ((G, space._Gt), (Q, space._Qt)):
+                    assert np.shares_memory(At.data, A.data)
+                    assert np.shares_memory(At.indices, A.indices)
+            else:
+                assert not np.shares_memory(G, Q)
+                assert np.shares_memory(space._Gt, G) and np.shares_memory(space._Qt, Q)
+            u = np.random.default_rng(21).normal(size=mesh.n_vertices)
+            at = space.evaluate(u, 1.5, 1e-8)
+            assert np.array_equal(at.grad.ravel(), G @ u)
+            assert np.array_equal(at.uq.ravel(), Q @ u)
 
 
 class TestBoundaryQuadrature:
@@ -390,8 +383,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("kind", ["cold", "warm", "capped"])
     def test_final_residual_is_the_residual_of_the_state(self, disk, kind, monkeypatch):
-        # the reported residual is that of the returned u, not of a
-        # line-search trial's images
+        # the reported residual is that of the returned u
         rng = np.random.default_rng(0)
         f = random_step_load(disk, rng)
         cfg = SolveConfig(p=1.5)
@@ -405,22 +397,35 @@ class TestSolve:
         fresh = np.linalg.norm(residual(disk, u, f, cfg.p, EPS_STAGES[-1]))
         assert rep.final_residual == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
-    def test_one_image_product_per_iterate_and_direction(self, small_disk, monkeypatch):
-        # one product at the start and, per Newton step, one for the
-        # direction and one for the accepted iterate: the images carry
-        # over every stage boundary and serve I at the end
-        calls = []
-        images = P1Space.images
+    @pytest.mark.parametrize("kind", ["cold", "warm"])
+    def test_one_evaluation_per_trial_and_stage_start(self, disk, small_disk, kind,
+                                                      monkeypatch):
+        # every line-search trial and every stage start is evaluated once,
+        # and its energy taken once; an accepted trial's evaluation serves
+        # the next Newton step, and one more evaluation serves I
+        evaluate, energy = P1Space.evaluate, P1Space.energy
+        calls = {"evaluate": 0, "energy": 0}
 
-        def counting_images(self, u):
-            calls.append(u)
-            return images(self, u)
+        def counting(name, method):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return spy
 
-        monkeypatch.setattr(P1Space, "images", counting_images)
-        f = step_load(small_disk, STEP_LEVELS)
-        _, rep = solve(small_disk, f, SolveConfig(p=1.5))
-        assert rep.converged and len(rep.eps_stages) == len(EPS_STAGES)
-        assert len(calls) == 1 + 2 * sum(rep.iterations_per_stage)
+        for mesh in (small_disk, disk):
+            f = step_load(mesh, STEP_LEVELS)
+            cfg = SolveConfig(p=1.5)
+            start = None
+            if kind == "warm":
+                start, _ = solve(mesh, LoadField(1.1 * f.cell_values), cfg)
+            with monkeypatch.context() as m:
+                m.setattr(P1Space, "evaluate", counting("evaluate", evaluate))
+                m.setattr(P1Space, "energy", counting("energy", energy))
+                calls.update(evaluate=0, energy=0)
+                _, rep = solve(mesh, f, cfg, u_init=start)
+            assert rep.converged
+            assert calls["energy"] > sum(rep.iterations_per_stage)
+            assert calls["evaluate"] == calls["energy"] + 1
 
     def test_cold_solve_runs_the_ladder(self, disk):
         _, rep = solve(disk, LoadField.constant(disk, 1.0), SolveConfig(p=2.0))
