@@ -13,20 +13,23 @@ is the Euler-Lagrange equation of
 
 which is minimized with damped Newton iterations inside a continuation
 loop over the fixed decreasing ladder EPS_STAGES (0.1 down to 1e-8 by
-decades), each stage starting from the last. Only the stage at the last
-rung runs to NEWTON_TOL. An intermediate stage serves only as the start
-of the next, whose smaller eps raises the residual again by orders of
-magnitude, so it ends once its residual norm is STAGE_REDUCTION times
-the norm it started from: enough to start the next stage inside its
-Newton region, as in inexact path-following (Deuflhard, *Newton Methods
-for Nonlinear Problems*, Springer 2004). eps regularizes both terms
-alike, so the energy is smooth and its Hessian exact and SPD for every
-eps > 0. The limit eps -> 0 recovers the p-Laplacian problem.
+decades), each stage starting from the last. At p = 2 the residual does
+not depend on eps, so there the ladder is its last rung alone. Only the
+stage at the last rung runs to NEWTON_TOL. An intermediate stage serves
+only as the start of the next, whose smaller eps raises the residual
+again by orders of magnitude, so it ends once its residual norm is
+STAGE_REDUCTION times the norm it started from: enough to start the next
+stage inside its Newton region, as in inexact path-following (Deuflhard,
+*Newton Methods for Nonlinear Problems*, Springer 2004). eps regularizes
+both terms alike, so the energy is smooth and its Hessian exact and SPD
+for every eps > 0. The limit eps -> 0 recovers the p-Laplacian problem.
 
 A warm start (a given ``u_init``, typically the solution for a nearby
 load) skips the continuation: its first stage runs directly at the last
-rung, for at most WARM_MAX_ITERS Newton steps. Only if that stage misses
-does the whole ladder run, again from ``u_init``.
+rung and leaves as soon as Newton stops contracting the residual (see
+WARM_WINDOW), the usual local-convergence monitor (Deuflhard, ch. 3).
+Only if that stage misses does the whole ladder run, again from
+``u_init``.
 
 Each Newton step is inexact. A sparse LU factorization costs 20 to 30
 triangular solves with a kept factor, and a Hessian changes little from
@@ -99,9 +102,10 @@ P_MIN, P_MAX = 1.1, 10.0
 ARMIJO = 1e-4
 LINE_SEARCH_SHRINK = 0.5
 
-# Continuation: a cold solve runs one stage at each eps of EPS_STAGES,
-# for at most MAX_NEWTON_ITERS Newton steps per stage. The stage at the
-# last rung runs until the residual norm is at most NEWTON_TOL; every
+# Continuation: a cold solve runs one stage at each eps of EPS_STAGES
+# (at p = 2 only the last, since there the residual does not depend on
+# eps), for at most MAX_NEWTON_ITERS Newton steps per stage. The stage at
+# the last rung runs until the residual norm is at most NEWTON_TOL; every
 # earlier stage only until it is at most STAGE_REDUCTION times the norm
 # the stage started from (or NEWTON_TOL, if that is larger), since the
 # next eps moves the residual far above that anyway. On criterion 1's
@@ -112,13 +116,16 @@ NEWTON_TOL = 1e-10
 STAGE_REDUCTION = 0.1
 MAX_NEWTON_ITERS = 60
 
-# Warm starts: the first stage runs at EPS_STAGES[-1] for at most
-# min(WARM_MAX_ITERS, MAX_NEWTON_ITERS) steps before the whole ladder is
-# tried. On the optimizer's p = 1.5 warm solves (64x10 disk) a warm
-# stage allowed 60 steps converged within 12 in 18 of 38 solves; the
-# rest took 13-59 steps or capped, and a warm solve averaged 31.8 Newton
-# steps against 22.8 with this budget.
-WARM_MAX_ITERS = 12
+# Warm starts: the first stage runs at EPS_STAGES[-1] and leaves for the
+# ladder ("slow") once, after k >= WARM_WINDOW Newton steps, its residual
+# norm is above WARM_CONTRACTION times the norm WARM_WINDOW steps earlier.
+# On the optimizer's p = 1.5 warm solves (64x10 disk, 5 restarts) 20 of
+# 38 warm stages miss: after one step that contracts by 0.55-0.89 they
+# stall near 1e-1 with per-step ratios of 0.9-1.1. Leaving there instead
+# of after a 12-step budget took those solves from 752 to 600 Newton
+# steps, with p = 2 and 3 unchanged; a window of 2 with 0.5 cost p = 5
+# more steps (1033 -> 1109 over a sweep of disks, loads and restarts).
+WARM_WINDOW, WARM_CONTRACTION = 3, 0.75
 
 # Newton systems (see ``_NewtonSystems``): below PCG_MIN_VERTICES (defined
 # in ``fem``, which holds a small mesh's operators dense) every step is a
@@ -177,9 +184,11 @@ class SolveReport:
     eps_stages: list
     # why each stage stopped: "converged" (NEWTON_TOL at the last rung of
     # EPS_STAGES, the reduction by STAGE_REDUCTION at an earlier one),
-    # "cap" (its step budget reached) or "stall" (the line search found no
-    # acceptable step). A warm start whose stage at the last rung missed
-    # lists that stage first, then the whole ladder.
+    # "cap" (MAX_NEWTON_ITERS steps taken), "stall" (the line search found
+    # no acceptable step) or, for a warm start's first stage only, "slow"
+    # (Newton stopped contracting the residual; see WARM_WINDOW). A warm
+    # start whose stage at the last rung missed lists that stage first,
+    # then the whole ladder.
     stage_exits: list
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
@@ -297,28 +306,34 @@ class _NewtonSystems:
         return self.lu.solve(rhs)
 
 
-def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
-    """Damped inexact Newton at fixed eps for at most ``max_iters`` steps,
-    from u; ``systems`` solves each step to the forcing term's tolerance.
-    A ``final`` stage stops at NEWTON_TOL, any other at its reduction
-    target (see STAGE_REDUCTION); a non-finite starting residual has no
-    reduction target, so such a stage too aims at NEWTON_TOL.
+def _newton_stage(space, u, b, p, eps, systems, final, warm):
+    """Damped inexact Newton at fixed eps for at most MAX_NEWTON_ITERS
+    steps, from u; ``systems`` solves each step to the forcing term's
+    tolerance. A ``final`` stage stops at NEWTON_TOL, any other at its
+    reduction target (see STAGE_REDUCTION); a non-finite starting residual
+    has no reduction target, so such a stage too aims at NEWTON_TOL. A
+    ``warm`` stage also stops once it no longer contracts the residual
+    (see WARM_WINDOW).
 
     Returns (u, iterations, fallbacks, residual_norm, reason), where
-    reason is "converged", "cap" or "stall" (see
+    reason is "converged", "cap", "stall" or "slow" (see
     ``SolveReport.stage_exits``)."""
     fallbacks = 0
     at = space.evaluate(u, p, eps)
     E = space.energy(u, b, p, eps, at)
     r = space.residual(u, b, p, eps, at)
     rnorm = np.linalg.norm(r)
+    rnorms = [rnorm]
     tol = NEWTON_TOL
     if not final and np.isfinite(rnorm):
         tol = max(NEWTON_TOL, STAGE_REDUCTION * rnorm)
     eta = ETA_MAX
-    for it in range(max_iters):
+    for it in range(MAX_NEWTON_ITERS):
         if rnorm <= tol:
             return u, it, fallbacks, rnorm, "converged"
+        if (warm and it >= WARM_WINDOW
+                and rnorm > WARM_CONTRACTION * rnorms[it - WARM_WINDOW]):
+            return u, it, fallbacks, rnorm, "slow"
         H = space.hessian(u, p, eps, at)
         with np.errstate(all="ignore"):
             d = systems.solve(H, -r, eta)
@@ -343,13 +358,14 @@ def _newton_stage(space, u, b, p, eps, systems, max_iters, final):
             return u, it + 1, fallbacks, rnorm, "stall"
         u, at, E = u_try, at_try, E_try
         r = space.residual(u, b, p, eps, at)
-        rnorm, rnorm_old = np.linalg.norm(r), rnorm
+        rnorm = np.linalg.norm(r)
+        rnorms.append(rnorm)
         # Eisenstat-Walker choice 2 (gamma 0.9, alpha 2). Its safeguard
         # max(eta, 0.9 eta_old^2) applies only while 0.9 eta_old^2 > 0.1,
         # which ETA_MAX = 0.1 rules out.
-        eta = min(ETA_MAX, 0.9 * (rnorm / rnorm_old) ** 2)
+        eta = min(ETA_MAX, 0.9 * (rnorm / rnorms[-2]) ** 2)
     reason = "converged" if rnorm <= tol else "cap"
-    return u, max_iters, fallbacks, rnorm, reason
+    return u, MAX_NEWTON_ITERS, fallbacks, rnorm, reason
 
 
 def solve(mesh, f, config: SolveConfig, u_init=None):
@@ -359,12 +375,13 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     its load vector is built once per solve.
 
     Without ``u_init`` the solve starts from u = 0, with the mesh's K + M
-    factor, and runs one stage per rung of EPS_STAGES. ``u_init`` (a
-    ``StateField`` or nodal values) makes it a warm start: one stage at
-    EPS_STAGES[-1] with a budget of WARM_MAX_ITERS Newton steps, and the
-    whole ladder from ``u_init`` only if that stage misses. A
-    ``StateField`` solved at the same p also hands over its kept factor
-    (see the module docstring).
+    factor, and runs one stage per rung of EPS_STAGES (at p = 2 the last
+    rung only). ``u_init`` (a ``StateField`` or nodal values) makes it a
+    warm start: one stage at EPS_STAGES[-1], which leaves as "slow" once
+    its residual norm is above WARM_CONTRACTION times the norm
+    WARM_WINDOW Newton steps earlier, and the whole ladder from
+    ``u_init`` only if that stage misses. A ``StateField`` solved at the
+    same p also hands over its kept factor (see the module docstring).
 
     Returns (StateField, SolveReport). The state carries the factor this
     solve kept; the report carries the functionals J and I and their gap.
@@ -387,18 +404,18 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     systems = _NewtonSystems(space.n, start_factor)
     stages = []  # (eps, iterations, fallbacks, residual norm, exit) per stage
 
-    def stage(u, eps, max_iters):
+    def stage(u, eps, warm=False):
         final = eps == EPS_STAGES[-1]
-        u, *run = _newton_stage(space, u, b, p, eps, systems, max_iters, final)
+        u, *run = _newton_stage(space, u, b, p, eps, systems, final, warm)
         stages.append((eps, *run))
         return u
 
     if u_init is not None:
-        u = stage(u_start, EPS_STAGES[-1], min(WARM_MAX_ITERS, MAX_NEWTON_ITERS))
+        u = stage(u_start, EPS_STAGES[-1], warm=True)
     if u_init is None or stages[-1][-1] != "converged":
         u = u_start
-        for eps in EPS_STAGES:
-            u = stage(u, eps, MAX_NEWTON_ITERS)
+        for eps in EPS_STAGES[-1:] if p == 2.0 else EPS_STAGES:
+            u = stage(u, eps)
     eps_list, iters, fallbacks, rnorms, exits = (list(c) for c in zip(*stages))
     state = StateField(u, space.trace_average(u), p, systems.lu)
     J = float(b @ u)

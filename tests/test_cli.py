@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plapopt import acceptance
+from plapopt import acceptance, cli, solver
 from plapopt.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -22,7 +22,7 @@ from plapopt.fileio import (
 )
 from plapopt.geometry import DomainMesh, validate_mesh
 from plapopt.perturbation import derivative_report, tangent_field
-from plapopt.rearrangement import binary_load, step_load
+from plapopt.rearrangement import LoadField, binary_load, step_load
 from plapopt.solver import SolveConfig
 
 
@@ -88,6 +88,31 @@ class TestSolveCommand:
         assert rep["factorizations"] == rep["cg_iterations"] == 0
         assert rep["tool_version"]
         assert rep["mesh_sha256"] == file_sha256(mesh_file)
+
+    def test_stage_exits_are_emitted_unchanged(self, workdir, mesh_file, load_file,
+                                               monkeypatch):
+        # a solve started far off (the state of the load turned half-way
+        # round) leaves its warm stage as "slow"; the JSON lists the
+        # report's exits as they are
+        mesh = read_mesh(mesh_file)
+        f = read_load(load_file, mesh)
+        cfg = SolveConfig(p=1.5)
+        far, _ = solver.solve(mesh, LoadField(np.roll(f.cell_values, 16)), cfg)
+        reports = []
+
+        def warm(mesh, f, config):
+            state, rep = solver.solve(mesh, f, config, u_init=far)
+            reports.append(rep)
+            return state, rep
+
+        monkeypatch.setattr(cli, "solve", warm)
+        rc = main(["solve", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "1.5", "--out", "s.json"])
+        assert rc == EXIT_OK
+        with open("s.json") as fh:
+            exits = json.load(fh)["stage_exits"]
+        assert exits[0] == "slow"
+        assert exits == reports[0].stage_exits
 
     @pytest.mark.parametrize("shape", ["disk", "square"])
     def test_clockwise_mesh_is_config_error(self, workdir, capsys, shape):

@@ -125,6 +125,18 @@ class TestMaximize:
         for rec in recs[1:]:
             assert rec.newton_steps < recs[0].newton_steps
 
+    # 253 and 347 Newton steps measured, plus about 20 % (a warm stage
+    # given a 12-step budget instead of the contraction monitor took 305
+    # and 447)
+    @pytest.mark.parametrize("load, budget", [("binary", 304), ("3level", 416)])
+    def test_newton_budget(self, load, budget):
+        # the 64x10 disk at p = 1.5, 5 restarts: most solves are warm,
+        # and a warm stage that stops contracting leaves for the ladder
+        mesh = build_disk_mesh(1.0, 64, 10)
+        f0 = binary_load(mesh, 16) if load == "binary" else step_load(mesh, [0.0, 0.5, 1.0])
+        _, _, hist = maximize_over_rearrangements(mesh, f0, _config(1.5, 5, 11))
+        assert sum(rec.newton_steps for rec in hist.records) <= budget
+
     def test_unequal_cells_refused_before_any_solve(self, tiny_disk, monkeypatch):
         verts = np.array(tiny_disk.vertices)
         # move one boundary vertex along the octagon: two cells change length
