@@ -5,8 +5,9 @@ A periodic speed v(s) on the arclength chart generates the boundary flow
 
     d/dtau psi_tau(s) = v(psi_tau(s)),    psi_0(s) = s,
 
-which ``flow`` integrates by RK4 (with its tangential Jacobian on
-request) and which transports a load by pullback, f_t = f o psi_t^{-1}
+which ``flow`` integrates by RK4 in ceil(400 |t|) steps of at most
+1/400 (with its tangential Jacobian on request) and which transports a
+load by pullback, f_t = f o psi_t^{-1}
 (``transport_load``): a step function whose breaks move with the flow
 and whose values ride along. With I(t) = J(f_t), four independent
 estimates of I'(0) are provided:
@@ -155,7 +156,9 @@ def tangent_field(spec, period):
 
 def flow(field: TangentField, s, t, jacobian=False):
     """psi_t(s) for an array of start points s, by classical RK4 with
-    max(100, ceil(400 |t|)) steps; a negative t flows backwards. With
+    ceil(400 |t|) steps, each of length at most 1/400, so a
+    finite-difference step t = 1e-3 is one RK4 step; a negative t flows
+    backwards. With
     ``jacobian``, the pair (psi_t(s), d psi_t / ds), the tangential
     Jacobian 1 + t v'(s) + O(t^2) integrated from dM/dtau = v'(sigma) M
     alongside. A non-finite t raises ValueError."""
@@ -166,7 +169,7 @@ def flow(field: TangentField, s, t, jacobian=False):
     M = np.ones_like(s)
     if t == 0.0:
         return (s, M) if jacobian else s
-    n_steps = max(100, int(np.ceil(abs(t) * 400.0)))
+    n_steps = max(1, int(np.ceil(abs(t) * 400.0)))
     h = t / n_steps
     v, vp = field.speed, field.speed_prime
     for _ in range(n_steps):
@@ -215,7 +218,7 @@ def transport_load(mesh, f: LoadField, field: TangentField, t):
     """Exact pullback f o psi_t^{-1} as an evaluable piecewise-constant
     function: piece start points move with the forward flow, values ride
     along unchanged (no resampling onto cells). Any finite t is accepted;
-    the flow takes 400 RK4 steps per unit of |t| (at least 100)."""
+    the flow takes ceil(400 |t|) RK4 steps (see ``flow``)."""
     base = PiecewiseBoundaryFunction.from_load(mesh, f)
     moved = np.mod(flow(field, base.breaks, t), base.period)
     return PiecewiseBoundaryFunction(moved, base.values, base.period)

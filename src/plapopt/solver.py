@@ -37,23 +37,28 @@ one step to the next, so a solve keeps one LU factor of a Hessian across
 all its eps stages and returns it with its state. The factor it starts
 with costs the solve nothing. A cold solve starts at u = 0, where the
 Hessian is eps^{p-2} (K + M) for every load and p (K the stiffness, M
-the quadrature mass matrix; exactly K + M at p = 2 for every u), and CG
-is blind to a scalar factor, so it begins with the LU of K + M that the
-space keeps for its mesh (``P1Space.stiffness_mass_factor``). A warm
-start from a ``StateField`` at the same p begins with that state's
-factor; any other warm start factors its first Hessian. CG preconditioned
-by the kept factor solves each Newton system H d = -r to a relative
-tolerance eta chosen by Eisenstat-Walker forcing terms (choice 2: eta
-shrinks with the square of the residual reduction, so the last steps
-stay quadratic; see Eisenstat & Walker, "Choosing the forcing terms in
-an inexact Newton method", SIAM J. Sci. Comput. 17, 1996). When CG
-misses eta within CG_MAX_ITERS iterations, the current Hessian is
-factored afresh, solved directly and kept in place of the old factor.
-Below PCG_MIN_VERTICES a factorization is as cheap as a few CG
-iterations, and every step is a direct ``spsolve``. There the space holds
-its gradient and quadrature operators dense (see ``fem``), but the
-Hessian stays CSC and the step stays ``spsolve``: a dense Hessian solved
-by ``np.linalg.solve`` would be cheaper still at that size, but the
+the quadrature mass matrix), and CG is blind to a scalar factor, so it
+begins with the LU of K + M that the space keeps for its mesh
+(``P1Space.stiffness_mass_factor``). At p = 2 the Hessian is K + M for
+every u and eps, the matrix the space keeps beside that factor
+(``P1Space.hessian``), so every p = 2 solve, on any mesh and from any
+start, begins with the kept factor: each of its Newton steps takes one
+CG iteration, with no Hessian assembly and no factorization. At any
+other p, a warm start from a ``StateField`` at the same p begins with
+that state's factor, and any other warm start factors its first
+Hessian. CG preconditioned by the kept factor solves each Newton system
+H d = -r to a relative tolerance eta chosen by Eisenstat-Walker forcing
+terms (choice 2: eta shrinks with the square of the residual reduction,
+so the last steps stay quadratic; see Eisenstat & Walker, "Choosing the
+forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
+1996). When CG misses eta within CG_MAX_ITERS iterations, the current
+Hessian is factored afresh, solved directly and kept in place of the old
+factor. Below PCG_MIN_VERTICES a factorization is as cheap as a few CG
+iterations, and every step of a solve that holds no factor (every solve
+there at p != 2) is a direct ``spsolve``. There the space holds its
+gradient and quadrature operators dense (see ``fem``), but the Hessian
+stays CSC and the step stays ``spsolve``: a dense Hessian solved by
+``np.linalg.solve`` would be cheaper still at that size, but the
 benchmark (``perfbench``) traces the direct path through
 ``solver.spsolve``. The stop test, the line search and the
 steepest-descent fallback are the same on both paths.
@@ -128,10 +133,11 @@ MAX_NEWTON_ITERS = 60
 WARM_WINDOW, WARM_CONTRACTION = 3, 0.75
 
 # Newton systems (see ``_NewtonSystems``): below PCG_MIN_VERTICES (defined
-# in ``fem``, which holds a small mesh's operators dense) every step is a
-# direct ``spsolve``. From there on, CG preconditioned by a kept factor
-# solves each step to the forcing term eta (at most ETA_MAX) and refactors
-# when CG_MAX_ITERS iterations do not reach it.
+# in ``fem``, which holds a small mesh's operators dense) every step of a
+# solve that holds no factor is a direct ``spsolve``. Otherwise CG
+# preconditioned by a kept factor solves each step to the forcing term eta
+# (at most ETA_MAX) and refactors when CG_MAX_ITERS iterations do not
+# reach it.
 ETA_MAX = 0.1
 CG_MAX_ITERS = 10
 
@@ -192,10 +198,12 @@ class SolveReport:
     stage_exits: list
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
-    # on the direct path every Newton step is one factorization. A factor
-    # the solve starts with is not counted: neither the mesh's K + M
-    # factor of a cold start, built once per mesh, nor one handed over by
-    # a warm start's state
+    # on the direct path (below PCG_MIN_VERTICES, p != 2) every Newton
+    # step is one factorization, and every p = 2 solve, on any mesh and
+    # from any start, takes one CG iteration on the kept K + M factor. A
+    # factor the solve starts with is not counted: neither the mesh's
+    # K + M factor, built once per mesh, nor one handed over by a warm
+    # start's state
     factorizations: int = 0
     cg_iterations: int = 0
     J: float = 0.0
@@ -283,13 +291,13 @@ class _NewtonSystems:
     iterations that took."""
 
     def __init__(self, n, lu=None):
-        self.direct = n < PCG_MIN_VERTICES
-        self.lu = None if self.direct else lu
+        self.small = n < PCG_MIN_VERTICES
+        self.lu = lu
         self.factorizations = 0
         self.cg_iterations = 0
 
     def solve(self, H, rhs, rtol):
-        if self.direct:
+        if self.lu is None and self.small:
             self.factorizations += 1
             return spsolve(H, rhs, permc_spec="MMD_AT_PLUS_A")
         if self.lu is not None:
@@ -380,8 +388,10 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     warm start: one stage at EPS_STAGES[-1], which leaves as "slow" once
     its residual norm is above WARM_CONTRACTION times the norm
     WARM_WINDOW Newton steps earlier, and the whole ladder from
-    ``u_init`` only if that stage misses. A ``StateField`` solved at the
-    same p also hands over its kept factor (see the module docstring).
+    ``u_init`` only if that stage misses. At p = 2 every solve starts
+    with the mesh's K + M factor, the exact Hessian there; at any other
+    p a ``StateField`` solved at the same p hands over its kept factor
+    (see the module docstring).
 
     Returns (StateField, SolveReport). The state carries the factor this
     solve kept; the report carries the functionals J and I and their gap.
@@ -391,16 +401,18 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     space = P1Space.of(mesh)
     b = _load_vector(mesh, f)
     p = config.p
-    start_factor = None
     if u_init is None:
         u_start = np.zeros(space.n)
-        if space.n >= PCG_MIN_VERTICES:  # the direct path keeps no factor
-            start_factor = space.stiffness_mass_factor()
     else:
         _check_state(mesh, u_init)
         u_start = np.array(_nodal(u_init), dtype=float)
-        if isinstance(u_init, StateField) and u_init.p == p:
-            start_factor = u_init.factor
+    start_factor = None
+    # below PCG_MIN_VERTICES a cold solve at p != 2 takes the direct path,
+    # which keeps no factor
+    if p == 2.0 or (u_init is None and space.n >= PCG_MIN_VERTICES):
+        start_factor = space.stiffness_mass_factor()
+    elif isinstance(u_init, StateField) and u_init.p == p:
+        start_factor = u_init.factor
     systems = _NewtonSystems(space.n, start_factor)
     stages = []  # (eps, iterations, fallbacks, residual norm, exit) per stage
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -74,6 +75,57 @@ class TestFlowMap:
         s = np.linspace(0, L2PI, 29, endpoint=False)
         comp = flow(fld, flow(fld, s, 0.3), 0.2)
         assert np.max(np.abs(comp - flow(fld, s, 0.5))) <= 1e-9
+
+
+def _rk4_reference(fld, s, t, n_steps):
+    """psi_t(s) and d psi_t / ds by n_steps classical RK4 steps."""
+    h = t / n_steps
+    v, vp = fld.speed, fld.speed_prime
+    M = np.ones_like(s)
+    for _ in range(n_steps):
+        k1 = v(s)
+        k2 = v(s + 0.5 * h * k1)
+        k3 = v(s + 0.5 * h * k2)
+        k4 = v(s + h * k3)
+        m1 = vp(s) * M
+        m2 = vp(s + 0.5 * h * k1) * (M + 0.5 * h * m1)
+        m3 = vp(s + 0.5 * h * k2) * (M + 0.5 * h * m2)
+        m4 = vp(s + h * k3) * (M + h * m3)
+        M = M + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s, M
+
+
+class TestFlowSteps:
+    @pytest.mark.parametrize("spec", ["sin:1", "cos:2", "bump"])
+    @pytest.mark.parametrize("t", [-1e-3, 1e-3])
+    def test_short_flow_matches_fine_steps(self, spec, t):
+        # a finite-difference step takes ceil(400 |t|) = 1 RK4 step, and
+        # agrees with 100 steps of h = t / 100 to rounding
+        if spec == "bump":
+            spec = f"bump:{0.3 * L2PI},{0.4 * L2PI}"
+        fld = tangent_field(spec, L2PI)
+        s = np.linspace(0, L2PI, 41, endpoint=False)
+        ref_s, ref_M = _rk4_reference(fld, s, t, 100)
+        assert np.max(np.abs(flow(fld, s, t) - ref_s)) <= 1e-14
+        pos, jac = flow(fld, s, t, jacobian=True)
+        assert np.max(np.abs(pos - ref_s)) <= 1e-14
+        assert np.max(np.abs(jac - ref_M)) <= 1e-14
+
+    def test_step_length_at_most_one_400th(self):
+        # count speed evaluations: four per RK4 step
+        fld = tangent_field("sin:1", L2PI)
+        calls = []
+
+        def speed(x):
+            calls.append(1)
+            return np.sin(x)
+
+        counted = dataclasses.replace(fld, speed=speed)
+        for t, steps in ((1e-3, 1), (-0.25, 100), (0.2526, 102), (1.0, 400)):
+            calls.clear()
+            flow(counted, np.zeros(3), t)
+            assert len(calls) == 4 * steps, t
 
 
 class TestTangentialJacobian:

@@ -604,6 +604,39 @@ class TestNewtonSystems:
         assert rep.converged
         assert rep.factorizations <= 1
 
+    @pytest.mark.parametrize("eps", [0.1, 1e-8])
+    def test_p2_hessian_is_the_kept_read_only_matrix(self, disk, small_disk, eps):
+        # K + M is the p = 2 Hessian for every u and eps: the space returns
+        # the one matrix it factors, without evaluating u
+        for mesh in (disk, small_disk):
+            space = P1Space.of(mesh)
+            H = space.hessian(np.zeros(mesh.n_vertices), 2.0, 0.1)
+            rng = np.random.default_rng(22)
+            for u in rng.normal(size=(3, mesh.n_vertices)):
+                assert space.hessian(u, 2.0, eps) is H
+            assert space.hessian(None, 2.0, eps) is H
+            with pytest.raises(ValueError, match="read-only"):
+                H.data[0] = 0.0
+
+    def test_small_p2_solves_take_one_cg_iteration(self, small_disk):
+        # below PCG_MIN_VERTICES too, every p = 2 solve, cold or warm from
+        # any start, takes one CG iteration on the kept K + M factor
+        space = P1Space.of(small_disk)
+        f = step_load(small_disk, STEP_LEVELS)
+        cfg = SolveConfig(p=2.0)
+        cold, rep = solve(small_disk, f, cfg)
+        assert cold.factor is space.stiffness_mass_factor()
+        other, _ = solve(small_disk, LoadField(np.roll(f.cell_values, 3)), cfg)
+        at_p3, _ = solve(small_disk, f, SolveConfig(p=3.0))
+        reports = [rep] + [solve(small_disk, f, cfg, u_init=start)[1]
+                           for start in (other, other.nodal_values, at_p3)]
+        for rep in reports:
+            assert rep.converged
+            assert rep.factorizations == 0
+            assert rep.cg_iterations == sum(rep.iterations_per_stage) == 1
+        exact = space.stiffness_mass_factor().solve(solver._load_vector(small_disk, f))
+        assert np.linalg.norm(cold.nodal_values - exact) <= 1e-13 * np.linalg.norm(exact)
+
     def test_small_systems_solve_directly(self):
         mesh = build_disk_mesh(1.0, 8, 2)
         assert mesh.n_vertices < solver.PCG_MIN_VERTICES
@@ -671,7 +704,11 @@ class TestWarmStart:
         for start in (elsewhere, state.nodal_values):
             _, rep = solve(disk, ft, cfg, u_init=start)
             assert rep.converged
-            assert rep.factorizations >= 1  # the first step factors afresh
+            if cfg.p == 2.0:
+                # every p = 2 solve starts with the mesh's exact K + M factor
+                assert rep.factorizations == 0 and rep.cg_iterations == 1
+            else:
+                assert rep.factorizations >= 1  # the first step factors afresh
 
     # a linear problem (p = 2) needs one step, before any monitor
     @pytest.mark.parametrize("neighbours", [1.5, 3.0], indirect=True)
