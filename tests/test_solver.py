@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import iv
 
@@ -43,6 +45,14 @@ ABSOLUTE_STOP_FLOOR = pytest.mark.xfail(
 
 # exponents at which the kernels are compared with the oracles
 KERNEL_PS = [1.1, 1.5, 2.0, 3.0, 10.0]
+
+
+def miss_the_ray_stage(monkeypatch):
+    """A warm monitor that no step can satisfy: a cold solve above p = 2
+    leaves its ray stage after one step as "slow" and runs the ladder
+    from u = 0."""
+    monkeypatch.setattr(solver, "WARM_WINDOW", 1)
+    monkeypatch.setattr(solver, "WARM_CONTRACTION", 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -309,11 +319,15 @@ class TestStateField:
 
 class TestSolve:
     def test_zero_load_gives_zero(self, disk):
+        # b.u2 = 0: no ray start above p = 2, and the ladder from 0 stops
+        # at once
         f = LoadField.constant(disk, 0.0)
         u, rep = solve(disk, f, SolveConfig(p=2.5))
         assert rep.converged
         assert np.max(np.abs(u.nodal_values)) < 1e-12
         assert rep.J == 0.0
+        assert rep.eps_stages == list(EPS_STAGES)
+        assert rep.iterations_per_stage == [0] * len(EPS_STAGES)
 
     def test_p2_bessel_trace(self, disk):
         f = LoadField.constant(disk, 1.0)
@@ -371,10 +385,11 @@ class TestSolve:
 
     def test_nonconvergence_returns_partial_state(self, disk, monkeypatch):
         f = LoadField.constant(disk, 1.0)
-        # single continuation stage and a starved iteration budget
+        # a ladder of a single stage and a starved iteration budget (below
+        # p = 2, where a cold solve runs the ladder)
         monkeypatch.setattr(solver, "EPS_STAGES", EPS_STAGES[:1])
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
-        u, rep = solve(disk, f, SolveConfig(p=3.0))
+        u, rep = solve(disk, f, SolveConfig(p=1.5))
         assert not rep.converged
         assert rep.stage_exits == ["cap"]
         assert rep.final_residual > NEWTON_TOL
@@ -470,14 +485,20 @@ class TestSolve:
 
     @pytest.mark.parametrize("p", [1.3, 1.5, 3.0])
     def test_intermediate_stages_stop_early_at_no_cost_in_J(self, disk, p, monkeypatch):
-        # with STAGE_REDUCTION = 0 every stage runs to NEWTON_TOL
+        # with STAGE_REDUCTION = 0 every stage of the ladder runs to
+        # NEWTON_TOL; above p = 2 the ray stage is made to miss, so that
+        # the ladder runs after it
+        miss_the_ray_stage(monkeypatch)
         f = step_load(disk, STEP_LEVELS)
         _, inexact = solve(disk, f, SolveConfig(p=p))
         monkeypatch.setattr(solver, "STAGE_REDUCTION", 0.0)
         _, exact = solve(disk, f, SolveConfig(p=p))
+        ray = int(p > 2.0)  # the missed ray stage leads the report
         for rep in (inexact, exact):
             assert rep.converged
-            assert rep.stage_exits == ["converged"] * len(rep.eps_stages)
+            assert rep.stage_exits[:ray] == ["slow"] * ray
+            assert rep.eps_stages[ray:] == list(EPS_STAGES)
+            assert rep.stage_exits[ray:] == ["converged"] * len(EPS_STAGES)
         assert abs(inexact.J - exact.J) <= 1e-10 * (1.0 + abs(exact.J))
         assert sum(inexact.iterations_per_stage) < sum(exact.iterations_per_stage)
 
@@ -520,6 +541,106 @@ class TestSolve:
         assert [f.name for f in dataclasses.fields(SolveConfig)] == ["p"]
         with pytest.raises(TypeError):
             SolveConfig(p=2.0, eps_final=1e-8)
+
+
+class TestRayStart:
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_cold_solve_is_one_stage_with_the_ladders_J(self, disk, small_disk, p,
+                                                         monkeypatch):
+        # above p = 2 a cold solve starts on the ray of the p = 2 solution
+        # and converges in one stage at the last rung; the ladder from 0,
+        # run by making that stage miss, reaches the same J
+        cfg = SolveConfig(p=p)
+        for mesh in (disk, small_disk):
+            for f in (step_load(mesh, STEP_LEVELS),
+                      random_step_load(mesh, np.random.default_rng(23))):
+                _, rep = solve(mesh, f, cfg)
+                with monkeypatch.context() as m:
+                    miss_the_ray_stage(m)
+                    _, ladder = solve(mesh, f, cfg)
+                assert rep.eps_stages == [EPS_STAGES[-1]]
+                assert rep.stage_exits == ["converged"]
+                assert ladder.eps_stages == [EPS_STAGES[-1]] + list(EPS_STAGES)
+                assert ladder.converged
+                assert abs(rep.J - ladder.J) <= 1e-10 * (1.0 + abs(ladder.J))
+                assert sum(rep.iterations_per_stage) < sum(ladder.iterations_per_stage)
+
+    def test_ray_start_is_least_energy_on_the_p2_ray(self, disk, monkeypatch):
+        # the first stage starts at s u2, u2 = (K + M)^{-1} b, where the
+        # eps = 0 energy along the ray is least
+        starts = []
+        newton_stage = solver._newton_stage
+
+        def spy(space, u, *args):
+            starts.append(u)
+            return newton_stage(space, u, *args)
+
+        monkeypatch.setattr(solver, "_newton_stage", spy)
+        f = random_step_load(disk, np.random.default_rng(24))
+        p = 3.0
+        solve(disk, f, SolveConfig(p=p))
+        u2 = P1Space.of(disk).stiffness_mass_factor().solve(solver._load_vector(disk, f))
+        s = starts[0] @ u2 / (u2 @ u2)
+        assert np.linalg.norm(starts[0] - s * u2) <= 1e-14 * np.linalg.norm(starts[0])
+        E = [energy(disk, c * s * u2, f, p, 0.0) for c in (1.0 - 1e-4, 1.0, 1.0 + 1e-4)]
+        assert E[1] < min(E[0], E[2])
+
+    @pytest.mark.parametrize("p, forced", [(3.0, True), (6.0, False)])
+    def test_missed_ray_stage_runs_the_ladder_from_zero(self, disk, p, forced,
+                                                        monkeypatch):
+        # a ray stage that misses, forced to after one step at p = 3, or
+        # at p = 6 on criterion 1's step load, where it stalls and leaves
+        # after WARM_WINDOW steps, each of which factors its Hessian: the
+        # whole ladder then runs from u = 0 on the mesh's K + M factor, as
+        # a cold solve without the ray start
+        if forced:
+            miss_the_ray_stage(monkeypatch)
+        space = P1Space.of(disk)
+        stages = []
+        newton_stage = solver._newton_stage
+
+        def spy(space, u, b, p, eps, systems, *args):
+            stages.append((u.copy(), systems.lu, systems.factorizations))
+            return newton_stage(space, u, b, p, eps, systems, *args)
+
+        monkeypatch.setattr(solver, "_newton_stage", spy)
+        f = step_load(disk, STEP_LEVELS)
+        _, rep = solve(disk, f, SolveConfig(p=p))
+        assert rep.converged
+        assert rep.eps_stages == [EPS_STAGES[-1]] + list(EPS_STAGES)
+        assert rep.stage_exits == ["slow"] + ["converged"] * len(EPS_STAGES)
+        assert rep.iterations_per_stage[0] == (1 if forced else solver.WARM_WINDOW)
+        assert np.any(stages[0][0] != 0.0)
+        assert np.all(stages[1][0] == 0.0)
+        assert stages[0][1] is stages[1][1] is space.stiffness_mass_factor()
+        if not forced:
+            assert stages[1][2] == solver.WARM_WINDOW
+
+    def test_overflowing_load_keeps_the_ladder_report(self, disk):
+        # s u2 overflows for a load of 1e200: no ray start, and the ladder
+        # from 0 stalls after one step at every rung
+        f = LoadField.constant(disk, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, rep = solve(disk, f, SolveConfig(p=3.0))
+        assert not rep.converged
+        assert rep.eps_stages == list(EPS_STAGES)
+        assert rep.stage_exits == ["stall"] * len(EPS_STAGES)
+        assert rep.iterations_per_stage == [1] * len(EPS_STAGES)
+        assert (rep.factorizations, rep.cg_iterations, rep.gradient_fallbacks) == (8, 80, 0)
+        assert rep.J == 0.0 and rep.final_residual == np.inf
+        assert np.all(u.nodal_values == 0.0)
+
+
+@given(p=st.floats(2.0, 10.0, exclude_min=True),
+       log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_cold_solves_above_p2_converge(small_disk, p, log_scale, seed):
+    f = random_step_load(small_disk, np.random.default_rng(seed))
+    _, rep = solve(small_disk, LoadField(10.0 ** log_scale * f.cell_values),
+                   SolveConfig(p=p))
+    assert rep.converged
+    assert rep.duality_gap <= 1e-6 * (1.0 + abs(rep.J))
 
 
 @pytest.fixture(scope="module", params=[1.5, 3.0])
@@ -583,13 +704,16 @@ class TestNewtonSystems:
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3])
-    def test_kept_factor_inverts_every_p2_hessian(self, disk, eps):
-        space = P1Space.of(disk)
-        rng = np.random.default_rng(18)
-        u, x = 0.5 * rng.normal(size=(2, disk.n_vertices))
-        H = space.hessian(u, 2.0, eps)
-        y = space.stiffness_mass_factor().solve(H @ x)
-        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+    def test_kept_factor_inverts_every_p2_hessian(self, disk, small_disk, eps):
+        # against the independent COO assembly of the p = 2 Hessian at a
+        # random u: the factor that every p = 2 solve and the ray start of
+        # a cold solve above p = 2 rely on
+        for mesh in (disk, small_disk):
+            rng = np.random.default_rng(18)
+            u, x = 0.5 * rng.normal(size=(2, mesh.n_vertices))
+            H = reference_hessian(mesh, u, 2.0, eps)
+            y = P1Space.of(mesh).stiffness_mass_factor().solve(H @ x)
+            assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_cold_solves_start_with_the_kept_factor(self, disk):
         # the mesh's K + M factor is built once and counted by no solve;
@@ -720,10 +844,10 @@ class TestWarmStart:
         monkeypatch.setattr(solver, "WARM_CONTRACTION", 0.0)
         _, rep = solve(disk, ft, cfg, u_init=state)
         assert rep.converged
-        assert rep.eps_stages == [EPS_STAGES[-1]] + cold.eps_stages
+        assert rep.eps_stages == [EPS_STAGES[-1]] + list(EPS_STAGES)
         assert rep.stage_exits[0] == "slow"
         assert rep.iterations_per_stage[0] == 1
-        assert rep.stage_exits[1:] == ["converged"] * len(cold.eps_stages)
+        assert rep.stage_exits[1:] == ["converged"] * len(EPS_STAGES)
         assert abs(rep.J - cold.J) <= 1e-6 * (1.0 + abs(cold.J))
 
     def test_far_start_leaves_after_one_window(self, disk):
