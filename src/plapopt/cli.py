@@ -182,11 +182,12 @@ def cmd_optimize(args):
     write_load(os.path.join(out_dir, "fhat.txt"), fhat)
     write_csv(
         os.path.join(out_dir, "history.csv"),
-        ["restart", "iter", "J", "duality_gap", "defect", "changed",
-         "newton_steps", "factorizations"],
+        ["restart", "iter", "J", "I", "duality_gap", "defect", "changed",
+         "tight", "newton_steps", "factorizations"],
         [
-            (r.restart, r.iteration, float(r.J), float(r.duality_gap),
-             float(r.defect), int(r.changed), r.newton_steps, r.factorizations)
+            (r.restart, r.iteration, float(r.J), float(r.I), float(r.duality_gap),
+             float(r.defect), int(r.changed), int(r.tight), r.newton_steps,
+             r.factorizations)
             for r in hist.records
         ],
     )

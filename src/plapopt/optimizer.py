@@ -1,25 +1,47 @@
 """Best-response fixed-point iteration maximizing J over a rearrangement
-class.
+class, as alternating ascent on I(u, f).
 
-Each step solves the state problem for the current load and replaces the
-load with the rearrangement comonotone to the resulting boundary trace.
-That rearrangement maximizes the pairing sum L(f) = sum_c f_c trace_c
-(the boundary integral of f u over the common cell arclength), which
-forces J(f_{k+1}) >= J(f_k) up to solver tolerance:
+J(f) is the maximum over u of I(u; f), and I is linear in f through the
+boundary integral of f u. Each step solves the state problem for the
+current load f_k, approximately, and replaces the load with the
+rearrangement comonotone to the resulting boundary trace. That
+rearrangement maximizes the pairing sum L(f) = sum_c f_c trace_c (the
+boundary integral of f u_k over the common cell arclength), so it
+maximizes I(u_k; .) over the class exactly, and the next state solve,
+warm from u_k, raises I in u. So the iteration is block-coordinate ascent
+on I over (u, f) (Grippo & Sciandrone, "On the convergence of the block
+nonlinear Gauss-Seidel method under convex constraints", Oper. Res.
+Lett. 26, 2000), and its chain
 
-    J(f_{k+1}) >= I(u_k; f_{k+1}) >= I(u_k; f_k) = J(f_k).
+    J(f_{k+1}) >= I(u_k; f_{k+1}) >= I(u_k; f_k)
+
+holds for any u_k, converged or not. So only the state that ends a
+restart needs a converged solve. Every intermediate iterate is solved to
+the residual norm INNER_TOL, and where a loose iterate would end its
+restart and has not met NEWTON_TOL, the optimizer solves again, warm
+from that state, to NEWTON_TOL, and decides the best response, the stop
+and the comonotonicity defect again from the tight trace. A p = 2 solve
+takes one exact step, so it is always tight and never solved again.
+``IterationRecord.I`` is the lower bound I(u_k; f_k), and
+``IterationRecord.tight`` says whether the record's state met
+NEWTON_TOL. On the benchmark's optimize task list (64x10 disk, binary and
+3-level loads, 5 restarts) one pass went from 278 to 243 Newton steps at
+p = 3, and from 590 to 516 at p = 1.5 (600 before the solver ran its
+ladder from u = 0 after a missed warm stage), with the same returned
+loads and J within 1.3e-12 (1 + |J|).
 
 The iteration halts at a permutation fixed point (an exactly comonotone
-load), on stalled J improvement, or at the iteration cap. Random restarts
-guard against non-global fixed points; all restarts are reported and the
-best iterate wins. A later restart replaces the best only if its J is
-higher by more than J_TOL (1 + |J|), so ties go to the earliest restart:
-on a symmetric domain restarts reach rotated copies of one fixed point
-whose J differ only by solver rounding, and rounding must not pick the
-returned load. ``OptimizeHistory.returned_restart`` names the restart
-whose load is returned. The ``J_best`` of the CLI's ``summary.json`` stays
-the maximum J over restarts, within that tolerance of the returned load's
-J, which the summary gives beside it.
+load), on stalled J improvement, on a cycle, or at the iteration cap.
+Random restarts guard against non-global fixed points; all restarts are
+reported and the best iterate wins, judged by the J of each restart's
+last record, which is tight. A later restart replaces the best only if
+its J is higher by more than J_TOL (1 + |J|), so ties go to the earliest
+restart: on a symmetric domain restarts reach rotated copies of one
+fixed point whose J differ only by solver rounding, and rounding must not
+pick the returned load. ``OptimizeHistory.returned_restart`` names the
+restart whose load is returned. The ``J_best`` of the CLI's
+``summary.json`` stays the maximum J over restarts, within that
+tolerance of the returned load's J, which the summary gives beside it.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +50,7 @@ import numpy as np
 
 from .geometry import unequal_cell
 from .rearrangement import LoadField, best_response, comonotonicity_defect
-from .solver import SolveConfig, SolverError, solve
+from .solver import NEWTON_TOL, SolveConfig, SolverError, solve
 
 __all__ = [
     "OptimizeConfig",
@@ -40,6 +62,12 @@ __all__ = [
 # A restart stops when J changes by less than J_TOL (1 + |J|) between
 # iterates, and a later restart must beat the best by more than that.
 J_TOL = 1e-9
+
+# The residual norm at which an intermediate iterate's state solve stops
+# (see the module docstring). On the benchmark's optimize task list the
+# worst record gap was 5.5e-8 (1 + |J|) at 1e-6 and 5.0e-7 at 1e-5, half
+# the 1e-6 (1 + |J|) that the benchmark checks.
+INNER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,10 +89,18 @@ class IterationRecord:
     restart: int
     iteration: int
     J: float
+    # I(u_k; f_k) of the record's state u_k: a lower bound on J(f_k) for
+    # any u_k, converged or not
+    I: float
     duality_gap: float
     defect: float
     changed: bool
-    newton_steps: int  # summed over the solve's eps stages
+    # whether the state met NEWTON_TOL; the last record of every restart
+    # does, an intermediate one met INNER_TOL
+    tight: bool
+    # summed over the eps stages of the record's solves: the loose one
+    # and, where the restart ends, its tight re-solve
+    newton_steps: int
     factorizations: int
 
 
@@ -79,9 +115,9 @@ class OptimizeHistory:
 
     @property
     def restart_results(self):
-        """(restart, J, fixed_point) of every restart, from its last record:
-        a restart ends at a fixed point exactly when its last best response
-        left the load unchanged."""
+        """(restart, J, fixed_point) of every restart, from its last record,
+        which is tight: a restart ends at a fixed point exactly when its
+        last best response left the load unchanged."""
         last = {rec.restart: rec for rec in self.records}
         return [(r, rec.J, not rec.changed) for r, rec in last.items()]
 
@@ -121,39 +157,56 @@ def _run_single(mesh, f, config, restart, history):
     u_prev = None
     J_prev = None
     for it in range(config.max_outer_iters):
-        state, report = solve(mesh, f, config.solver, u_init=u_prev)
-        if not report.converged:
-            raise SolverError(
-                f"state solve failed at restart {restart}, iteration {it}: "
-                f"residual {report.final_residual:.3e}"
+        # a loose state solve, warm from the last iterate's state; where
+        # it would end the restart, one more warm solve to NEWTON_TOL, whose
+        # trace decides the best response and the stop again (so the loop
+        # below runs at most twice: that solve's state is tight)
+        state, report = _state_solve(mesh, f, config, u_prev, INNER_TOL, restart, it)
+        steps = factorizations = 0
+        while True:
+            steps += sum(report.iterations_per_stage)
+            factorizations += report.factorizations
+            tight = report.final_residual <= NEWTON_TOL
+            J = report.J
+            f_next = best_response(f, state.boundary_trace)
+            changed = not np.array_equal(f_next.cell_values, f.cell_values)
+            key = tuple(f_next.cell_values)
+            stop = (
+                not changed  # exact fixed point
+                or (J_prev is not None and abs(J - J_prev) < J_TOL * (1.0 + abs(J)))
+                or key in seen  # cycle without improvement
+                or it == config.max_outer_iters - 1  # iteration cap
             )
-        u_prev = state  # the next solve starts here, with this state's factor
-        J = report.J
-        trace = state.boundary_trace
-        f_next = best_response(f, trace)
-        changed = not np.array_equal(f_next.cell_values, f.cell_values)
+            if tight or not stop:
+                break
+            state, report = _state_solve(mesh, f, config, state, NEWTON_TOL, restart, it)
         history.records.append(
             IterationRecord(
                 restart=restart,
                 iteration=it,
                 J=J,
+                I=report.I,
                 duality_gap=report.duality_gap,
-                defect=comonotonicity_defect(f, trace),
+                defect=comonotonicity_defect(f, state.boundary_trace),
                 changed=changed,
-                newton_steps=sum(report.iterations_per_stage),
-                factorizations=report.factorizations,
+                tight=tight,
+                newton_steps=steps,
+                factorizations=factorizations,
             )
         )
-        result = (f, state)
-        if not changed:
-            return result  # exact fixed point
-        if J_prev is not None and abs(J - J_prev) < J_TOL * (1.0 + abs(J)):
-            return result
-        key = tuple(f_next.cell_values)
-        if key in seen:
-            return result  # cycle without improvement
+        if stop:
+            return f, state
         seen.add(key)
+        u_prev = state  # the next solve starts here, with this state's factor
         J_prev = J
         f = f_next
-    return result  # iteration cap
 
+
+def _state_solve(mesh, f, config, u_init, tol, restart, it):
+    state, report = solve(mesh, f, config.solver, u_init=u_init, tol=tol)
+    if not report.converged:
+        raise SolverError(
+            f"state solve failed at restart {restart}, iteration {it}: "
+            f"residual {report.final_residual:.3e}"
+        )
+    return state, report

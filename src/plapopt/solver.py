@@ -17,7 +17,9 @@ decades), each stage starting from the last. At p = 2 the residual does
 not depend on eps, so there the ladder is its last rung alone, and above
 p = 2 a cold solve starts on the ray of the p = 2 solution (see below)
 and needs the ladder only if that start misses. Only the
-stage at the last rung runs to NEWTON_TOL. An intermediate stage serves
+stage at the last rung runs to the solve's tolerance, NEWTON_TOL unless
+the caller passes another (the optimizer's intermediate iterates do;
+see ``optimizer``). An intermediate stage serves
 only as the start of the next, whose smaller eps raises the residual
 again by orders of magnitude, so it ends once its residual norm is
 STAGE_REDUCTION times the norm it started from: enough to start the next
@@ -30,8 +32,13 @@ A warm start (a given ``u_init``, typically the solution for a nearby
 load) skips the continuation: its first stage runs directly at the last
 rung and leaves as soon as Newton stops contracting the residual (see
 WARM_WINDOW), the usual local-convergence monitor (Deuflhard, ch. 3).
-Only if that stage misses does the whole ladder run, again from
-``u_init``.
+Only if that stage misses does the ladder run, and then as in a cold
+solve: from u = 0, on a cold solve's factor, not from ``u_init``. A far
+start thus costs its few warm steps plus one cold solve. Criterion 1's
+step load at p = 1.5 (64x10 disk), warm-started from the state of ten
+times that load, took 97 Newton steps when the ladder reran from
+``u_init`` (60 of them capped at eps = 0.1) and takes 16 this way; a
+cold solve takes 13.
 
 A cold solve above p = 2 is such a warm start from the ray of the p = 2
 solution u2 = (K + M)^{-1} b, one triangular solve with the kept factor
@@ -57,7 +64,7 @@ Hessian is eps^{p-2} (K + M) for every load and p (K the stiffness, M
 the quadrature mass matrix), and CG is blind to a scalar factor, so it
 begins with the LU of K + M that the space keeps for its mesh
 (``P1Space.stiffness_mass_factor``); so does its ray stage above p = 2,
-and the ladder after a missed one. At p = 2 the Hessian is K + M for
+and the ladder after any missed warm or ray stage. At p = 2 the Hessian is K + M for
 every u and eps, the matrix the space keeps beside that factor
 (``P1Space.hessian``), so every p = 2 solve, on any mesh and from any
 start, begins with the kept factor: each of its Newton steps takes one
@@ -129,9 +136,10 @@ LINE_SEARCH_SHRINK = 0.5
 # (at p = 2 only the last, since there the residual does not depend on
 # eps; above p = 2 only if its ray stage misses), for at most
 # MAX_NEWTON_ITERS Newton steps per stage. The stage at
-# the last rung runs until the residual norm is at most NEWTON_TOL; every
-# earlier stage only until it is at most STAGE_REDUCTION times the norm
-# the stage started from (or NEWTON_TOL, if that is larger), since the
+# the last rung runs until the residual norm is at most NEWTON_TOL (the
+# default of ``solve``'s tol); every earlier stage only until it is at
+# most STAGE_REDUCTION times the norm the stage started from (or tol, if
+# that is larger), since the
 # next eps moves the residual far above that anyway. On criterion 1's
 # step load (64x10 disk) that takes a cold solve from 67/34/23 to
 # 42/19/13 Newton steps at p = 1.1/1.3/1.5, with J unchanged to rounding.
@@ -207,14 +215,14 @@ class SolveReport:
     final_residual: float
     iterations_per_stage: list
     eps_stages: list
-    # why each stage stopped: "converged" (NEWTON_TOL at the last rung of
+    # why each stage stopped: "converged" (the solve's tol at the last rung of
     # EPS_STAGES, the reduction by STAGE_REDUCTION at an earlier one),
     # "cap" (MAX_NEWTON_ITERS steps taken), "stall" (the line search found
     # no acceptable step) or, for a warm start's first stage only, "slow"
     # (Newton stopped contracting the residual; see WARM_WINDOW). A warm
     # start whose stage at the last rung missed lists that stage first,
-    # then the whole ladder; so does a cold solve above p = 2, whose ray
-    # stage is such a warm stage.
+    # then the whole ladder, run from u = 0; so does a cold solve above
+    # p = 2, whose ray stage is such a warm stage.
     stage_exits: list
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
@@ -232,7 +240,8 @@ class SolveReport:
 
     @property
     def converged(self):
-        """The last stage, always one at the last rung, met NEWTON_TOL."""
+        """The last stage, always one at the last rung, met the ``tol``
+        that ``solve`` was given (NEWTON_TOL by default)."""
         return self.stage_exits[-1] == "converged"
 
 
@@ -334,14 +343,14 @@ class _NewtonSystems:
         return self.lu.solve(rhs)
 
 
-def _newton_stage(space, u, b, p, eps, systems, final, warm):
+def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
     """Damped inexact Newton at fixed eps for at most MAX_NEWTON_ITERS
     steps, from u; ``systems`` solves each step to the forcing term's
-    tolerance. A ``final`` stage stops at NEWTON_TOL, any other at its
-    reduction target (see STAGE_REDUCTION); a non-finite starting residual
-    has no reduction target, so such a stage too aims at NEWTON_TOL. A
-    ``warm`` stage also stops once it no longer contracts the residual
-    (see WARM_WINDOW).
+    tolerance. A ``final`` stage stops at the residual norm ``tol``, any
+    other at its reduction target (see STAGE_REDUCTION); a non-finite
+    starting residual has no reduction target, so such a stage too aims
+    at ``tol``. A ``warm`` stage also stops once it no longer contracts
+    the residual (see WARM_WINDOW).
 
     Returns (u, iterations, fallbacks, residual_norm, reason), where
     reason is "converged", "cap", "stall" or "slow" (see
@@ -352,9 +361,8 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm):
     r = space.residual(u, b, p, eps, at)
     rnorm = np.linalg.norm(r)
     rnorms = [rnorm]
-    tol = NEWTON_TOL
     if not final and np.isfinite(rnorm):
-        tol = max(NEWTON_TOL, STAGE_REDUCTION * rnorm)
+        tol = max(tol, STAGE_REDUCTION * rnorm)
     eta = ETA_MAX
     for it in range(MAX_NEWTON_ITERS):
         if rnorm <= tol:
@@ -396,7 +404,7 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm):
     return u, MAX_NEWTON_ITERS, fallbacks, rnorm, reason
 
 
-def solve(mesh, f, config: SolveConfig, u_init=None):
+def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
     """Solve the Neumann problem with load f.
 
     f is a ``LoadField`` or a transported load (see ``_load_vector``);
@@ -407,47 +415,43 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
     rung only). ``u_init`` (a ``StateField`` or nodal values) makes it a
     warm start: one stage at EPS_STAGES[-1], which leaves as "slow" once
     its residual norm is above WARM_CONTRACTION times the norm
-    WARM_WINDOW Newton steps earlier, and the whole ladder from
-    ``u_init`` only if that stage misses. Above p = 2 a solve without
+    WARM_WINDOW Newton steps earlier. Above p = 2 a solve without
     ``u_init`` is such a warm start from the p = 2 solution scaled to its
-    least energy, with the ladder from u = 0 if that stage misses, or at
-    once for a zero or overflowing load (see the module docstring); a
-    missed stage is listed before the ladder. At p = 2 every solve starts
+    least energy, or none for a zero or overflowing load (see the module
+    docstring). A warm or ray stage that misses is listed first, and the
+    ladder then runs as in a cold solve: from u = 0, on the mesh's K + M
+    factor (none below PCG_MIN_VERTICES at p != 2). So a missed start
+    costs its own steps plus one cold solve. At p = 2 every solve starts
     with the mesh's K + M factor, the exact Hessian there; at any other
     p a ``StateField`` solved at the same p hands over its kept factor
     (see the module docstring).
 
+    The stage at the last rung stops once the residual norm is at most
+    ``tol``; the optimizer passes a looser one for its intermediate
+    iterates (see ``optimizer``).
+
     Returns (StateField, SolveReport). The state carries the factor this
     solve kept; the report carries the functionals J and I and their gap.
-    ``converged`` means the residual norm at EPS_STAGES[-1] dropped below
-    NEWTON_TOL. On non-convergence the partial state is still returned.
+    ``converged`` means the last stage met the ``tol`` it was given. On
+    non-convergence the partial state is still returned.
     """
     space = P1Space.of(mesh)
     b = _load_vector(mesh, f)
     p = config.p
-    if u_init is None:
-        u_start = np.zeros(space.n)
-    else:
+    # the factor a cold solve starts with: below PCG_MIN_VERTICES a cold
+    # solve at p != 2 takes the direct path, which keeps no factor
+    cold_factor = None
+    if p == 2.0 or space.n >= PCG_MIN_VERTICES:
+        cold_factor = space.stiffness_mass_factor()
+    start_factor = cold_factor
+    u_warm = None
+    if u_init is not None:
         _check_state(mesh, u_init)
-        u_start = np.array(_nodal(u_init), dtype=float)
-    start_factor = None
-    # below PCG_MIN_VERTICES a cold solve at p != 2 takes the direct path,
-    # which keeps no factor
-    if p == 2.0 or (u_init is None and space.n >= PCG_MIN_VERTICES):
-        start_factor = space.stiffness_mass_factor()
-    elif isinstance(u_init, StateField) and u_init.p == p:
-        start_factor = u_init.factor
-    systems = _NewtonSystems(space.n, start_factor)
-    stages = []  # (eps, iterations, fallbacks, residual norm, exit) per stage
-
-    def stage(u, eps, warm=False):
-        final = eps == EPS_STAGES[-1]
-        u, *run = _newton_stage(space, u, b, p, eps, systems, final, warm)
-        stages.append((eps, *run))
-        return u
-
-    u_warm = None if u_init is None else u_start
-    if u_init is None and p > 2.0:
+        u_warm = np.array(_nodal(u_init), dtype=float)
+        if p != 2.0:
+            same_p = isinstance(u_init, StateField) and u_init.p == p
+            start_factor = u_init.factor if same_p else None
+    elif p > 2.0:
         # the ray start: u2 = (K + M)^{-1} b scaled by s, where the eps = 0
         # energy (s^p / p) A - s b.u2 is least; none for a zero load or
         # one whose scaled u2 overflows
@@ -459,12 +463,20 @@ def solve(mesh, f, config: SolveConfig, u_init=None):
                 u_ray = (bu / A) ** (1.0 / (p - 1.0)) * u2
                 if np.all(np.isfinite(u_ray)):
                     u_warm = u_ray
+    systems = _NewtonSystems(space.n, start_factor)
+    stages = []  # (eps, iterations, fallbacks, residual norm, exit) per stage
+
+    def stage(u, eps, warm=False):
+        final = eps == EPS_STAGES[-1]
+        u, *run = _newton_stage(space, u, b, p, eps, systems, final, warm, tol)
+        stages.append((eps, *run))
+        return u
+
     if u_warm is not None:
         u = stage(u_warm, EPS_STAGES[-1], warm=True)
     if u_warm is None or stages[-1][-1] != "converged":
-        if u_init is None:
-            systems.lu = start_factor  # a missed ray start: the cold ladder
-        u = u_start
+        systems.lu = cold_factor
+        u = np.zeros(space.n)
         for eps in EPS_STAGES[-1:] if p == 2.0 else EPS_STAGES:
             u = stage(u, eps)
     eps_list, iters, fallbacks, rnorms, exits = (list(c) for c in zip(*stages))

@@ -231,6 +231,25 @@ class TestOptimizeCommand:
         steps = [int(row.split(",")[-2]) for row in rows[1:]]
         assert steps[0] > 0 and all(s < steps[0] for s in steps[1:])
 
+    def test_history_ends_every_restart_tight(self, workdir, mesh_file, load_file):
+        # the columns I and tight; every restart's last row is tight, and
+        # summary.json reads each restart's J from that row
+        assert main(["optimize", "--mesh", str(mesh_file), "--load0", str(load_file),
+                     "--p", "1.5", "--restarts", "3", "--out", "run"]) == EXIT_OK
+        rows = (workdir / "run" / "history.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        assert header[:8] == ["restart", "iter", "J", "I", "duality_gap", "defect",
+                              "changed", "tight"]
+        last = {}
+        for row in rows[1:]:
+            rec = dict(zip(header, row.split(",")))
+            last[int(rec["restart"])] = rec
+        assert all(rec["tight"] == "1" for rec in last.values())
+        with open("run/summary.json") as fh:
+            summary = json.load(fh)
+        assert [r["J"] for r in summary["restarts"]] == [
+            float(last[r]["J"]) for r in sorted(last)]
+
     def test_different_seed_changes_history(self, workdir, mesh_file, load_file):
         base = ["optimize", "--mesh", str(mesh_file), "--load0", str(load_file),
                 "--p", "2.0", "--restarts", "3"]

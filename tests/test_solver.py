@@ -838,7 +838,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("neighbours", [1.5, 3.0], indirect=True)
     def test_missed_warm_stage_runs_the_full_schedule(self, disk, neighbours, monkeypatch):
         # a monitor that no step can satisfy: the stage leaves after one
-        # step, and the whole ladder runs from the warm start's state
+        # step, and the whole ladder runs as in a cold solve
         ft, cfg, state, cold = neighbours
         monkeypatch.setattr(solver, "WARM_WINDOW", 1)
         monkeypatch.setattr(solver, "WARM_CONTRACTION", 0.0)
@@ -867,6 +867,44 @@ class TestWarmStart:
         assert rep.eps_stages == [EPS_STAGES[-1]] + list(EPS_STAGES)
         assert rep.stage_exits[1:] == ["converged"] * len(EPS_STAGES)
         assert abs(rep.J - cold.J) <= 1e-6 * (1.0 + abs(cold.J))
+
+    def test_far_start_costs_at_most_one_cold_solve_more(self, disk, monkeypatch):
+        # criterion 1's step load at p = 1.5, warm-started from the state
+        # of ten times that load: the warm stage misses, and the ladder
+        # runs from u = 0 on the mesh's K + M factor, as in a cold solve
+        # (from the far state it took 97 Newton steps, 60 at one rung)
+        f = step_load(disk, STEP_LEVELS)
+        cfg = SolveConfig(p=1.5)
+        far, _ = solve(disk, LoadField(10.0 * f.cell_values), cfg)
+        _, cold = solve(disk, f, cfg)
+        starts = []
+        newton_stage = solver._newton_stage
+
+        def spy(space, u, b, p, eps, systems, *args):
+            starts.append((u.copy(), systems.lu))
+            return newton_stage(space, u, b, p, eps, systems, *args)
+
+        monkeypatch.setattr(solver, "_newton_stage", spy)
+        _, rep = solve(disk, f, cfg, u_init=far)
+        assert rep.converged
+        assert rep.stage_exits[0] == "slow"
+        assert rep.eps_stages == [EPS_STAGES[-1]] + list(EPS_STAGES)
+        assert np.all(starts[1][0] == 0.0)
+        assert starts[1][1] is P1Space.of(disk).stiffness_mass_factor()
+        assert (sum(rep.iterations_per_stage)
+                <= rep.iterations_per_stage[0] + sum(cold.iterations_per_stage))
+        assert abs(rep.J - cold.J) <= 1e-12 * (1.0 + abs(cold.J))
+
+    def test_loose_tol_stops_the_last_rung_early(self, disk, neighbours):
+        # the last rung stops at the tol it is given, and converged means
+        # that tol was met
+        ft, cfg, state, cold = neighbours
+        _, loose = solve(disk, ft, cfg, u_init=state, tol=1e-6)
+        _, tight = solve(disk, ft, cfg, u_init=state)
+        assert loose.converged and tight.converged
+        assert loose.final_residual <= 1e-6
+        assert tight.final_residual <= solver.NEWTON_TOL
+        assert sum(loose.iterations_per_stage) <= sum(tight.iterations_per_stage)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_neighbouring_loads_never_read_slow(self, disk, p):
