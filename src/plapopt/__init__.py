@@ -14,10 +14,8 @@ from .rearrangement import (
     best_response,
     binary_load,
     comonotonicity_defect,
-    distribution,
     linear_functional_L,
     random_step_load,
-    same_class,
     step_load,
 )
 from .optimizer import (
@@ -43,10 +41,6 @@ from .solver import (
     SolveReport,
     SolverError,
     StateField,
-    energy,
-    functional_I,
-    functional_J,
-    residual,
     solve,
 )
 
@@ -59,19 +53,13 @@ __all__ = [
     "best_response",
     "binary_load",
     "comonotonicity_defect",
-    "distribution",
     "linear_functional_L",
     "random_step_load",
-    "same_class",
     "step_load",
     "SolveConfig",
     "SolveReport",
     "SolverError",
     "StateField",
-    "energy",
-    "functional_I",
-    "functional_J",
-    "residual",
     "solve",
     "OptimizeConfig",
     "OptimizeHistory",

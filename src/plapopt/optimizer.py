@@ -88,9 +88,12 @@ class OptimizeConfig:
 class IterationRecord:
     restart: int
     iteration: int
+    # b.u_k of the record's state u_k: J(f_k) on a tight record, and on a
+    # loose one that of a loosely solved state, which can exceed J(f_k)
+    # (32x5 disk: 4.7373528115 against a tight 4.7373524106)
     J: float
-    # I(u_k; f_k) of the record's state u_k: a lower bound on J(f_k) for
-    # any u_k, converged or not
+    # I(u_k; f_k): a certified lower bound on J(f_k) for any u_k,
+    # converged or not
     I: float
     duality_gap: float
     defect: float

@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "LoadField",
-    "distribution",
-    "same_class",
     "best_response",
     "linear_functional_L",
     "comonotonicity_defect",
@@ -62,18 +60,6 @@ class LoadField:
         return cls.from_values(mesh, np.full(mesh.n_boundary_cells, float(value)))
 
 
-def distribution(f: LoadField):
-    """Ascending sort of the cell values (the discrete distribution)."""
-    return np.sort(f.cell_values)
-
-
-def same_class(f: LoadField, g: LoadField):
-    """True iff f and g are rearrangements of each other."""
-    if f.n_cells != g.n_cells:
-        raise ValueError("loads live on different meshes")
-    return bool(np.array_equal(distribution(f), distribution(g)))
-
-
 def best_response(f: LoadField, trace):
     """The rearrangement of f maximizing ``linear_functional_L``.
 
@@ -85,7 +71,7 @@ def best_response(f: LoadField, trace):
     if trace.size != f.n_cells:
         raise ValueError(f"trace length {trace.size} != load size {f.n_cells}")
     values = np.empty(f.n_cells)
-    values[np.argsort(trace, kind="stable")] = distribution(f)
+    values[np.argsort(trace, kind="stable")] = np.sort(f.cell_values)
     return LoadField(values)
 
 

@@ -117,11 +117,7 @@ __all__ = [
     "StateField",
     "SolveReport",
     "SolverError",
-    "energy",
-    "residual",
     "solve",
-    "functional_J",
-    "functional_I",
 ]
 
 P_MIN, P_MAX = 1.1, 10.0
@@ -245,17 +241,6 @@ class SolveReport:
         return self.stage_exits[-1] == "converged"
 
 
-def _nodal(u):
-    return u.nodal_values if isinstance(u, StateField) else np.asarray(u, dtype=float)
-
-
-def _check_state(mesh, u):
-    if _nodal(u).size != mesh.n_vertices:
-        raise ValueError(
-            f"state has {_nodal(u).size} values, mesh has {mesh.n_vertices} vertices"
-        )
-
-
 def _load_vector(mesh, f):
     """Nodal load vector b of f, so that int f u ds = b.u for P1 fields u.
 
@@ -276,18 +261,6 @@ def _dual_I(space, u, J, p):
     """I(u) given J = b.u."""
     grad_term, mass_term = space.integrate_lp(u, p)
     return (p * J - grad_term - mass_term) / (p - 1.0)
-
-
-def energy(mesh, u, f, p, eps):
-    """E_eps(u) as defined in the module docstring."""
-    _check_state(mesh, u)
-    return P1Space.of(mesh).energy(_nodal(u), _load_vector(mesh, f), p, eps)
-
-
-def residual(mesh, u, f, p, eps):
-    """Nodal gradient of E_eps; zero at the discrete solution."""
-    _check_state(mesh, u)
-    return P1Space.of(mesh).residual(_nodal(u), _load_vector(mesh, f), p, eps)
 
 
 def _pcg(H, rhs, lu, rtol):
@@ -446,8 +419,12 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
     start_factor = cold_factor
     u_warm = None
     if u_init is not None:
-        _check_state(mesh, u_init)
-        u_warm = np.array(_nodal(u_init), dtype=float)
+        nodal = u_init.nodal_values if isinstance(u_init, StateField) else u_init
+        u_warm = np.array(nodal, dtype=float)
+        if u_warm.size != mesh.n_vertices:
+            raise ValueError(
+                f"state has {u_warm.size} values, mesh has {mesh.n_vertices} vertices"
+            )
         if p != 2.0:
             same_p = isinstance(u_init, StateField) and u_init.p == p
             start_factor = u_init.factor if same_p else None
@@ -497,17 +474,3 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
     )
     return state, report
 
-
-def functional_J(mesh, f, u):
-    """Boundary functional J = int f u ds = b.u (b: the load vector of f)."""
-    _check_state(mesh, u)
-    return float(_load_vector(mesh, f) @ _nodal(u))
-
-
-def functional_I(mesh, u, f, p):
-    """Dual energy I(u); equals J(f) at the solution (zero duality gap).
-
-    The volume term is evaluated unregularized (eps = 0) regardless of the
-    eps used to compute u.
-    """
-    return _dual_I(P1Space.of(mesh), _nodal(u), functional_J(mesh, f, u), p)

@@ -4,8 +4,8 @@ These deliberately avoid the package's FEM/assembly code paths: radially
 symmetric solutions come from 1D ODE shooting, the P1 energy, residual
 and Hessian from per-triangle einsums over elements built from the
 vertex coordinates, small maximization problems from exhaustive
-enumeration, boundary step functions piece by piece in plain Python
-loops.
+enumeration, rearrangement classes from sorted cell values, boundary
+step functions piece by piece in plain Python loops.
 """
 
 import itertools
@@ -65,6 +65,12 @@ def brute_force_best_pairing(values, trace, weight=1.0):
     for perm in itertools.permutations(values):
         best = max(best, float(np.sum(np.asarray(perm) * trace * w)))
     return best
+
+
+def same_class(f, g):
+    """Whether the loads f and g are rearrangements of each other: their
+    sorted cell values agree (on meshes of as many cells)."""
+    return np.array_equal(np.sort(f.cell_values), np.sort(g.cell_values))
 
 
 def distinct_permutations(values):

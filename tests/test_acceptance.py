@@ -65,7 +65,9 @@ class TestAcceptanceCriteria:
         assert _run(4).passed
 
     def test_criterion_05_monotone_ascent(self):
-        assert _run(5).passed
+        res = _run(5)
+        assert res.passed
+        assert res.details["worst_I_drop_over_tol"] <= 1.0
 
     def test_criterion_06_comonotone_fixed_point(self):
         assert _run(6).passed

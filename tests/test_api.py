@@ -23,6 +23,19 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
+def test_reexports_match_all():
+    # every name the package imports is listed in __all__, and no other
+    init = pathlib.Path(plapopt.__file__)
+    tree = ast.parse(init.read_text(), str(init))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(n for n in plapopt.__all__ if n != "__version__")
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
