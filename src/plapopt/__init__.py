@@ -14,7 +14,6 @@ from .rearrangement import (
     best_response,
     binary_load,
     comonotonicity_defect,
-    linear_functional_L,
     random_step_load,
     step_load,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "best_response",
     "binary_load",
     "comonotonicity_defect",
-    "linear_functional_L",
     "random_step_load",
     "step_load",
     "SolveConfig",

@@ -32,13 +32,11 @@ summed into the same pattern, each built on first use: the interior
 block of the stiffness matrix K, which ``harmonic_extension`` solves
 with, and K + M, K plus the quadrature mass matrix M
 (``stiffness_mass_factor``). K + M is the Hessian at u = 0 up to the
-scalar eps^{p-2}, and the exact Hessian at p = 2 for every u and eps.
-The space keeps K + M as a matrix too, assembled once with read-only
-data; ``stiffness_mass_factor`` factors that matrix, and ``hessian``
-at p = 2 returns it without evaluating u. So the solver preconditions
-the first Newton steps of every cold solve with the factor, and every
-p = 2 solve, on any mesh and from any start, takes one CG iteration on
-it per Newton step.
+scalar eps^{p-2}, so the solver preconditions the first Newton steps of
+every cold solve with the factor. At p = 2 the Hessian is K + M for
+every u, so (K + M)^{-1} b, one triangular solve with the factor, is the
+exact discrete solution: every p = 2 solve starts there, and every cold
+solve above p = 2 on its ray (see ``solver``).
 The Hessian is symmetric positive definite with a symmetric pattern, so
 the solver orders its sparse LU (the direct solve of a small system, or
 the factor it keeps for a whole solve as CG's preconditioner) by minimum
@@ -65,8 +63,8 @@ EDGE_QW = np.array([0.5, 0.5])
 
 # A mesh of fewer than PCG_MIN_VERTICES vertices is small: its space holds
 # G and Q dense (see the module docstring), and the solver solves each of
-# its Newton systems at p != 2 directly, since there a factorization costs
-# no more than a few CG iterations. Measured on cold disk solves at p = 1.5 and 3,
+# its Newton systems directly, since there a factorization costs no more
+# than a few CG iterations. Measured on cold disk solves at p = 1.5 and 3,
 # CG took 1.00-1.06x the direct time at 49 vertices, 0.95-1.01x at 61,
 # 0.84-0.93x at 81 and 0.62-0.64x at 2561.
 PCG_MIN_VERTICES = 64
@@ -171,7 +169,6 @@ class P1Space:
         self.edge_a = loop
         self.edge_b = np.roll(loop, -1)
         self._harmonic = None  # see ``harmonic_extension``
-        self._stiffness_mass = None  # K + M, see ``hessian``
         self._stiffness_mass_lu = None  # see ``stiffness_mass_factor``
 
     @classmethod
@@ -221,11 +218,7 @@ class P1Space:
 
     def hessian(self, u, p, eps, at=None):
         """Sparse Hessian of ``energy``; exact, and SPD for 1 < p and
-        eps > 0. At p = 2 it is K + M for every u and eps: the space's
-        kept matrix, whose data are read-only, returned without evaluating
-        u."""
-        if p == 2.0:
-            return self._stiffness_mass_matrix()
+        eps > 0."""
         if at is None:
             at = self.evaluate(u, p, eps)
         c1 = self.areas * _over(at.sp, at.s, eps)
@@ -274,24 +267,14 @@ class P1Space:
         x[interior] = lu.solve(-(K_IB @ xb))
         return x
 
-    def _stiffness_mass_matrix(self):
-        """K + M, assembled on first use and kept, its data read-only."""
-        if self._stiffness_mass is None:
-            KM = self._assemble(self.areas * self._gg + self._qq @ self.qweights)
-            KM.data.flags.writeable = False
-            self._stiffness_mass = KM
-        return self._stiffness_mass
-
     def stiffness_mass_factor(self):
         """The sparse LU factor of K + M, the P1 stiffness matrix plus the
         quadrature mass matrix, factored on first use and kept on the
         space. At u = 0 the Hessian is eps^{p-2} (K + M) for every p and
-        eps, and at p = 2 it is K + M for every u: the very matrix that
-        ``hessian`` returns there."""
+        eps, and at p = 2 it is K + M for every u."""
         if self._stiffness_mass_lu is None:
-            self._stiffness_mass_lu = splu(
-                self._stiffness_mass_matrix(), permc_spec="MMD_AT_PLUS_A"
-            )
+            KM = self._assemble(self.areas * self._gg + self._qq @ self.qweights)
+            self._stiffness_mass_lu = splu(KM, permc_spec="MMD_AT_PLUS_A")
         return self._stiffness_mass_lu
 
     def load_vector(self, cell_values):

@@ -21,7 +21,8 @@ the residual norm INNER_TOL, and where a loose iterate would end its
 restart and has not met NEWTON_TOL, the optimizer solves again, warm
 from that state, to NEWTON_TOL, and decides the best response, the stop
 and the comonotonicity defect again from the tight trace. A p = 2 solve
-takes one exact step, so it is always tight and never solved again.
+starts at its exact solution and takes no step, so it is always tight
+and never solved again.
 ``IterationRecord.I`` is the lower bound I(u_k; f_k), and
 ``IterationRecord.tight`` says whether the record's state met
 NEWTON_TOL. On the benchmark's optimize task list (64x10 disk, binary and

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "LoadField",
     "best_response",
-    "linear_functional_L",
     "comonotonicity_defect",
     "step_load",
     "binary_load",
@@ -61,7 +60,8 @@ class LoadField:
 
 
 def best_response(f: LoadField, trace):
-    """The rearrangement of f maximizing ``linear_functional_L``.
+    """The rearrangement of f maximizing the pairing sum
+    sum_c f_c * trace_c.
 
     Cells are ranked by trace value (ties broken by cell index, stable)
     and receive f's values in the same ascending order. The result is
@@ -73,15 +73,6 @@ def best_response(f: LoadField, trace):
     values = np.empty(f.n_cells)
     values[np.argsort(trace, kind="stable")] = np.sort(f.cell_values)
     return LoadField(values)
-
-
-def linear_functional_L(f: LoadField, trace):
-    """The pairing sum sum_c f_c * trace_c that ``best_response``
-    maximizes."""
-    trace = np.asarray(trace, dtype=float)
-    if trace.size != f.n_cells:
-        raise ValueError("trace length does not match load")
-    return float(np.sum(f.cell_values * trace))
 
 
 def comonotonicity_defect(f: LoadField, trace):

@@ -14,13 +14,13 @@ is the Euler-Lagrange equation of
 which is minimized with damped Newton iterations inside a continuation
 loop over the fixed decreasing ladder EPS_STAGES (0.1 down to 1e-8 by
 decades), each stage starting from the last. At p = 2 the residual does
-not depend on eps, so there the ladder is its last rung alone, and above
-p = 2 a cold solve starts on the ray of the p = 2 solution (see below)
-and needs the ladder only if that start misses. Only the
-stage at the last rung runs to the solve's tolerance, NEWTON_TOL unless
-the caller passes another (the optimizer's intermediate iterates do;
-see ``optimizer``). An intermediate stage serves
-only as the start of the next, whose smaller eps raises the residual
+not depend on eps, so there the ladder is its last rung alone. Every
+p = 2 solve starts at the p = 2 solution, and every cold solve above
+p = 2 on its ray (see below); either needs the ladder only if that start
+misses. Only the stage at the last rung runs to the solve's tolerance,
+NEWTON_TOL unless the caller passes another (the optimizer's
+intermediate iterates do; see ``optimizer``). An intermediate stage
+serves only as the start of the next, whose smaller eps raises the residual
 again by orders of magnitude, so it ends once its residual norm is
 STAGE_REDUCTION times the norm it started from: enough to start the next
 stage inside its Newton region, as in inexact path-following (Deuflhard,
@@ -40,18 +40,22 @@ times that load, took 97 Newton steps when the ladder reran from
 ``u_init`` (60 of them capped at eps = 0.1) and takes 16 this way; a
 cold solve takes 13.
 
-A cold solve above p = 2 is such a warm start from the ray of the p = 2
-solution u2 = (K + M)^{-1} b, one triangular solve with the kept factor
-below. The eps = 0 problem is (p-1)-homogeneous: along s u2 its energy
-is (s^p / p) A - s b.u2, A = int |grad u2|^p + |u2|^p, least at
-s* = (b.u2 / A)^{1/(p-1)}, and the solve starts at s* u2. If that stage
-misses, the ladder runs from u = 0 on the kept factor, exactly as a cold
-solve without the ray start; so it does at once for a zero load
-(b.u2 = 0) or one whose s* u2 overflows. Over 420 cold solves (17- and
-641-vertex disks, p from 2.2 to 10, three load scales, ten loads) the
-ray start took Newton steps from 4773 to 3719, J agreeing to
-4e-11 (1 + |J|); 66 of its stages, all at p >= 6, missed, each costing
-3 to 6 steps. Below p = 2 the ladder stays: there
+A cold solve above p = 2, and every solve at p = 2, is such a warm start
+from the ray of the p = 2 solution u2 = (K + M)^{-1} b, one triangular
+solve with the kept factor below. The eps = 0 problem is
+(p-1)-homogeneous: along s u2 its energy is (s^p / p) A - s b.u2,
+A = int |grad u2|^p + |u2|^p, least at s* = (b.u2 / A)^{1/(p-1)}, and
+the solve starts at s* u2. At p = 2, A = b.u2 and s* = 1: the start is
+the exact discrete solution, whatever ``u_init`` was, and the stage ends
+before any Newton step unless rounding keeps the residual above the
+tolerance (criterion 1's step load times 1e6 does). If the stage misses, the ladder runs from
+u = 0 on the kept factor, exactly as a cold solve without the ray start;
+so it does at once for a zero load (b.u2 = 0) or one whose s* u2
+overflows. Over 420 cold solves (17- and 641-vertex disks, p from 2.2
+to 10, three load scales, ten loads) the ray start took 3719 Newton
+steps where the ladder alone took 4773, J agreeing to 4e-11 (1 + |J|);
+66 of its stages, all at p >= 6, missed, each costing 3 to 6 steps.
+Below p = 2 the ladder stays: there
 (|grad u|^2 + eps^2)^{(p-2)/2} blows up where grad u -> 0, and a ray
 start missed on most of the optimizer's cold p = 1.5 solves.
 
@@ -63,16 +67,12 @@ with costs the solve nothing. A cold solve starts at u = 0, where the
 Hessian is eps^{p-2} (K + M) for every load and p (K the stiffness, M
 the quadrature mass matrix), and CG is blind to a scalar factor, so it
 begins with the LU of K + M that the space keeps for its mesh
-(``P1Space.stiffness_mass_factor``); so does its ray stage above p = 2,
-and the ladder after any missed warm or ray stage. At p = 2 the Hessian is K + M for
-every u and eps, the matrix the space keeps beside that factor
-(``P1Space.hessian``), so every p = 2 solve, on any mesh and from any
-start, begins with the kept factor: each of its Newton steps takes one
-CG iteration, with no Hessian assembly and no factorization. At any
-other p, a warm start from a ``StateField`` at the same p begins with
-that state's factor, and any other warm start factors its first
-Hessian. CG preconditioned by the kept factor solves each Newton system
-H d = -r to a relative tolerance eta chosen by Eisenstat-Walker forcing
+(``P1Space.stiffness_mass_factor``); so does every ray stage, and the
+ladder after any missed warm or ray stage. Another warm start from a
+``StateField`` at the same p begins with that state's factor, and any
+other warm start factors its first Hessian. CG preconditioned by the
+kept factor solves each Newton system H d = -r to a relative tolerance
+eta chosen by Eisenstat-Walker forcing
 terms (choice 2: eta shrinks with the square of the residual reduction,
 so the last steps stay quadratic; see Eisenstat & Walker, "Choosing the
 forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
@@ -80,8 +80,8 @@ forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
 Hessian is factored afresh, solved directly and kept in place of the old
 factor. Below PCG_MIN_VERTICES a factorization is as cheap as a few CG
 iterations, and every step of a solve that holds no factor (every solve
-there at p != 2) is a direct ``spsolve``. There the space holds its
-gradient and quadrature operators dense (see ``fem``), but the Hessian
+there) is a direct ``spsolve``. There the space holds its gradient and quadrature
+operators dense (see ``fem``), but the Hessian
 stays CSC and the step stays ``spsolve``: a dense Hessian solved by
 ``np.linalg.solve`` would be cheaper still at that size, but the
 benchmark (``perfbench``) traces the direct path through
@@ -130,7 +130,7 @@ LINE_SEARCH_SHRINK = 0.5
 
 # Continuation: a cold solve runs one stage at each eps of EPS_STAGES
 # (at p = 2 only the last, since there the residual does not depend on
-# eps; above p = 2 only if its ray stage misses), for at most
+# eps; at and above p = 2 only if the ray stage misses), for at most
 # MAX_NEWTON_ITERS Newton steps per stage. The stage at
 # the last rung runs until the residual norm is at most NEWTON_TOL (the
 # default of ``solve``'s tol); every earlier stage only until it is at
@@ -217,17 +217,16 @@ class SolveReport:
     # no acceptable step) or, for a warm start's first stage only, "slow"
     # (Newton stopped contracting the residual; see WARM_WINDOW). A warm
     # start whose stage at the last rung missed lists that stage first,
-    # then the whole ladder, run from u = 0; so does a cold solve above
-    # p = 2, whose ray stage is such a warm stage.
+    # then the whole ladder, run from u = 0; so does a solve whose ray
+    # stage, which is such a warm stage, missed.
     stage_exits: list
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
-    # on the direct path (below PCG_MIN_VERTICES, p != 2) every Newton
-    # step is one factorization, and every p = 2 solve, on any mesh and
-    # from any start, takes one CG iteration on the kept K + M factor. A
-    # factor the solve starts with is not counted: neither the mesh's
-    # K + M factor, built once per mesh, nor one handed over by a warm
-    # start's state
+    # on the direct path (below PCG_MIN_VERTICES) every Newton step is one
+    # factorization. A p = 2 solve starts at its solution and takes no
+    # Newton step, so it counts neither. A factor the solve starts with is
+    # not counted: neither the mesh's K + M factor, built once per mesh,
+    # nor one handed over by a warm start's state
     factorizations: int = 0
     cg_iterations: int = 0
     J: float = 0.0
@@ -388,16 +387,15 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
     rung only). ``u_init`` (a ``StateField`` or nodal values) makes it a
     warm start: one stage at EPS_STAGES[-1], which leaves as "slow" once
     its residual norm is above WARM_CONTRACTION times the norm
-    WARM_WINDOW Newton steps earlier. Above p = 2 a solve without
-    ``u_init`` is such a warm start from the p = 2 solution scaled to its
-    least energy, or none for a zero or overflowing load (see the module
-    docstring). A warm or ray stage that misses is listed first, and the
-    ladder then runs as in a cold solve: from u = 0, on the mesh's K + M
-    factor (none below PCG_MIN_VERTICES at p != 2). So a missed start
-    costs its own steps plus one cold solve. At p = 2 every solve starts
-    with the mesh's K + M factor, the exact Hessian there; at any other
-    p a ``StateField`` solved at the same p hands over its kept factor
-    (see the module docstring).
+    WARM_WINDOW Newton steps earlier; a ``StateField`` solved at the same
+    p hands over its kept factor. Above p = 2 a solve without ``u_init``,
+    and at p = 2 every solve, is such a warm start, with a cold solve's
+    factor, from the p = 2 solution scaled to its least energy (at p = 2
+    the solution itself), or none for a zero or overflowing load (see the
+    module docstring). A warm or ray stage that misses is listed
+    first, and the ladder then runs as in a cold solve: from u = 0, on
+    the mesh's K + M factor (none below PCG_MIN_VERTICES). So a missed
+    start costs its own steps plus one cold solve.
 
     The stage at the last rung stops once the residual norm is at most
     ``tol``; the optimizer passes a looser one for its intermediate
@@ -412,10 +410,8 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
     b = _load_vector(mesh, f)
     p = config.p
     # the factor a cold solve starts with: below PCG_MIN_VERTICES a cold
-    # solve at p != 2 takes the direct path, which keeps no factor
-    cold_factor = None
-    if p == 2.0 or space.n >= PCG_MIN_VERTICES:
-        cold_factor = space.stiffness_mass_factor()
+    # solve takes the direct path, which keeps no factor
+    cold_factor = space.stiffness_mass_factor() if space.n >= PCG_MIN_VERTICES else None
     start_factor = cold_factor
     u_warm = None
     if u_init is not None:
@@ -425,13 +421,14 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
             raise ValueError(
                 f"state has {u_warm.size} values, mesh has {mesh.n_vertices} vertices"
             )
-        if p != 2.0:
-            same_p = isinstance(u_init, StateField) and u_init.p == p
-            start_factor = u_init.factor if same_p else None
-    elif p > 2.0:
+        same_p = isinstance(u_init, StateField) and u_init.p == p
+        start_factor = u_init.factor if same_p else None
+    if p == 2.0 or (p > 2.0 and u_warm is None):
         # the ray start: u2 = (K + M)^{-1} b scaled by s, where the eps = 0
-        # energy (s^p / p) A - s b.u2 is least; none for a zero load or
-        # one whose scaled u2 overflows
+        # energy (s^p / p) A - s b.u2 is least (s = 1 at p = 2, where u2
+        # solves the problem); none for a zero load or one whose scaled u2
+        # overflows
+        u_warm, start_factor = None, cold_factor
         u2 = space.stiffness_mass_factor().solve(b)
         with np.errstate(all="ignore"):
             bu = b @ u2

@@ -56,8 +56,9 @@ def radial_trace(p, radius=1.0, flux=1.0, r0=1e-8, rtol=1e-11, atol=1e-13):
 def brute_force_best_pairing(values, trace, weight=1.0):
     """Max of sum f_sigma(c) * trace_c * w over all permutations sigma.
 
-    Summation matches linear_functional_L term for term so that exact
-    float comparison against the sorting-based maximizer is meaningful.
+    Summation matches ``pairing`` in the tests term for term so that
+    exact float comparison against the sorting-based maximizer is
+    meaningful.
     """
     best = -np.inf
     trace = np.asarray(trace, dtype=float)

@@ -187,7 +187,8 @@ class TestMaximize:
                 assert b.I >= a.I - 1e-5 * (1.0 + abs(a.I))
 
     def test_p2_solves_once_per_record(self, small_disk, monkeypatch):
-        # a p = 2 solve takes one exact step: every state is tight
+        # a p = 2 solve starts at its solution and takes no step: every
+        # state is tight
         calls = _spy_solves(monkeypatch)
         f0 = step_load(small_disk, [0.0, 0.5, 1.0])
         _, _, hist = maximize_over_rearrangements(small_disk, f0, _config(2.0, 3, 5))
