@@ -45,7 +45,8 @@ class DomainMesh:
         Vertex indices of the closed boundary cycle, counter-clockwise.
         Cell c is the edge from ``boundary_loop[c]`` to
         ``boundary_loop[(c+1) % n_b]``.
-    boundary_weights : (n_b,) float array, cell arclengths (all equal)
+    boundary_weights : (n_b,) float array, cell arclengths (they may
+        differ; ``unequal_cell`` states the optimizer's equal-cell rule)
     boundary_tangents : (n_b, 2) float array, unit, along the loop
     cell_starts : (n_b + 1,) float array, ``[0, cumsum(boundary_weights)]``
         Arclength s of every cell start along the loop, then of the end;

@@ -19,7 +19,8 @@ estimates of I'(0) are provided:
                   + p int |grad u0|^{p-2} <grad u0, V' grad u0>
                   - int (|grad u0|^p + |u0|^p) div V };
 * ``deriv_surfdiv_formula``: boundary quadrature of
-  (p/(p-1)) int (d/ds)(u0 v) f ds with a periodic spline trace;
+  (p/(p-1)) int (d/ds)(u0 v) f ds with the trace's C2 periodic cubic
+  spline through the cell averages (de Boor's slopes, one sparse solve);
 * ``deriv_bvjump_formula``: (p/(p-1)) sum over load jumps of
   u0 v sigma (f_right - f_left), the jump-measure form for piecewise-
   constant loads;
@@ -33,9 +34,10 @@ constant (see JUMP_SIGN below).
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from .fem import P1Space
+from .fem import EDGE_QP, P1Space
 from .rearrangement import LoadField
 from .solver import SolveConfig, SolverError, StateField, solve
 
@@ -277,22 +279,39 @@ def deriv_volume_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     return (p * bterm + p * t2 - t3) / (p - 1.0)
 
 
-def _trace_spline(mesh, u0: StateField):
-    mids = mesh.cell_starts[:-1] + 0.5 * mesh.boundary_weights
-    s = np.concatenate([mids, [mids[0] + mesh.total_boundary_length]])
-    vals = np.concatenate([u0.boundary_trace, [u0.boundary_trace[0]]])
-    return CubicSpline(s, vals, bc_type="periodic", extrapolate="periodic")
+def _trace_spline(space, y):
+    """Values and arclength slopes, each (n_b, 2), at the boundary Gauss
+    points of the C2 periodic cubic spline through the cell averages y at
+    the cell midpoints. Piece i joins midpoints i and i + 1 (length h_i,
+    divided difference d_i); the midpoint slopes s solve h_i s_{i-1} +
+    2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = 3 (h_i d_{i-1} + h_{i-1} d_i)."""
+    w = space.boundary_weights
+    h = 0.5 * (w + np.roll(w, -1))
+    d = (np.roll(y, -1) - y) / h
+    h0, i = np.roll(h, 1), np.arange(w.size)
+    cols = np.r_[np.roll(i, 1), i, np.roll(i, -1)]
+    s = spsolve(sparse.csc_matrix((np.r_[h, 2.0 * (h0 + h), h0], (np.r_[i, i, i], cols))),
+                3.0 * (h * np.roll(d, 1) + h0 * d))
+    a = np.column_stack([np.roll(i, 1), i])  # Gauss point 0 of cell c is on piece c - 1, 1 on c
+    ya, yb, sa, sb, hp = y[a], np.roll(y, -1)[a], s[a], np.roll(s, -1)[a], h[a]
+    t = np.column_stack([0.5 * np.roll(w, 1) + w * EDGE_QP[0], w * (EDGE_QP[1] - 0.5)]) / hp
+    vals = ya + (yb - ya) * t * t * (3.0 - 2.0 * t) + hp * t * (1.0 - t) * ((1.0 - t) * sa - t * sb)
+    slopes = (6.0 * t * (1.0 - t) * (yb - ya) / hp + (1.0 - t) * (1.0 - 3.0 * t) * sa
+              + t * (3.0 * t - 2.0) * sb)
+    return vals, slopes
 
 
 def deriv_surfdiv_formula(mesh, u0: StateField, f: LoadField, field: TangentField):
     """Surface-divergence estimate of I'(0):
     (p/(p-1)) int (d/ds)(u0(s) v(s)) f(s) ds, with the boundary trace
-    interpolated by a periodic cubic spline of the cell averages."""
+    interpolated by the C2 periodic cubic spline of the cell averages at
+    the cell midpoints: its slopes there solve one cyclic tridiagonal
+    system, and each Gauss point is a Hermite cubic of its piece."""
     p = u0.p
     space = P1Space.of(mesh)
-    spline = _trace_spline(mesh, u0)
+    vals, slopes = _trace_spline(space, u0.boundary_trace)
     sg = space.boundary_gauss_points()
-    integrand = spline(sg, 1) * field.speed(sg) + spline(sg) * field.speed_prime(sg)
+    integrand = slopes * field.speed(sg) + vals * field.speed_prime(sg)
     total = space.boundary_integral(f.cell_values[:, None] * integrand)
     return p / (p - 1.0) * total
 

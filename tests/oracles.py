@@ -5,7 +5,8 @@ symmetric solutions come from 1D ODE shooting, the P1 energy, residual
 and Hessian from per-triangle einsums over elements built from the
 vertex coordinates, small maximization problems from exhaustive
 enumeration, rearrangement classes from sorted cell values, boundary
-step functions piece by piece in plain Python loops.
+step functions piece by piece in plain Python loops, the periodic trace
+spline from scipy's CubicSpline.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import itertools
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 
@@ -51,6 +53,16 @@ def radial_trace(p, radius=1.0, flux=1.0, r0=1e-8, rtol=1e-11, atol=1e-13):
             raise RuntimeError("shooting bracket not found")
     a_star = brentq(gap, a_lo, a_hi, xtol=1e-13, rtol=1e-13)
     return shoot(a_star)[0]
+
+
+def periodic_spline_at(mesh, values, s):
+    """Values and slopes at arclengths s of scipy's periodic cubic spline
+    through ``values`` at the boundary cell midpoints."""
+    mids = mesh.cell_starts[:-1] + 0.5 * mesh.boundary_weights
+    knots = np.append(mids, mids[0] + mesh.total_boundary_length)
+    spline = CubicSpline(knots, np.append(values, values[0]),
+                         bc_type="periodic", extrapolate="periodic")
+    return spline(s), spline(s, 1)
 
 
 def brute_force_best_pairing(values, trace, weight=1.0):

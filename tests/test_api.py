@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +37,30 @@ def test_reexports_match_all():
         for alias in node.names
     ]
     assert sorted(imported) == sorted(n for n in plapopt.__all__ if n != "__version__")
+
+
+# a fresh process that imports the package and the CLI and runs the
+# surface-divergence route, then prints the scipy subpackages it loaded
+FOOTPRINT = """
+import sys
+import plapopt, plapopt.cli
+from plapopt import SolveConfig, build_disk_mesh, derivative_report, step_load, tangent_field
+mesh = build_disk_mesh(1.0, 8, 2)
+field = tangent_field("sin:1", mesh.total_boundary_length)
+derivative_report(mesh, step_load(mesh, [0.0, 1.0]), field, SolveConfig(p=1.5))
+print(*sorted(m for m in sys.modules if m.startswith("scipy.")))
+"""
+
+
+def test_import_footprint():
+    # plapopt needs only scipy.sparse and its linalg; scipy.interpolate
+    # would pull in scipy.optimize, scipy.special, scipy.fft and more
+    src = pathlib.Path(plapopt.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    loaded = set(out.split())
+    assert "scipy.sparse" in loaded
+    assert not loaded & {"scipy.interpolate", "scipy.optimize"}
 
 
 def _private(name):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import step_load_vector, step_lq_distance
+from oracles import periodic_spline_at, step_load_vector, step_lq_distance
 from plapopt import perturbation, solver
 from plapopt.acceptance import STEP_LEVELS
 from plapopt.fem import P1Space
-from plapopt.geometry import build_disk_mesh, build_square_mesh
+from plapopt.geometry import DomainMesh, build_disk_mesh, build_square_mesh
 from plapopt.perturbation import (
     DerivativeReport,
     PiecewiseBoundaryFunction,
@@ -258,6 +258,44 @@ class TestStepFunctionProperties:
         assert d == pytest.approx(step_lq_distance(g, h, q), rel=1e-12, abs=0.0)
         assert lq_distance(h, g, q) == d
         assert lq_distance(g, g, q) == 0.0
+
+
+def _unequal_disk():
+    # the 16x3 disk with one boundary vertex slid along the polygon, as in
+    # test_geometry's unequal-cell test: two cells change length
+    mesh = build_disk_mesh(1.0, 16, 3)
+    verts = np.array(mesh.vertices)
+    i = mesh.boundary_loop[4]
+    verts[i] = 0.6 * verts[i] + 0.4 * verts[mesh.boundary_loop[5]]
+    return DomainMesh(verts, mesh.triangles, mesh.boundary_loop)
+
+
+SPLINE_MESHES = {
+    "disk8x2": lambda: build_disk_mesh(1.0, 8, 2),
+    "disk128x20": lambda: build_disk_mesh(1.0, 128, 20),
+    "square8": lambda: build_square_mesh(1.0, 8),
+    "unequal16x3": _unequal_disk,
+}
+
+
+class TestTraceSpline:
+    @pytest.mark.parametrize("name", SPLINE_MESHES)
+    def test_matches_scipy_periodic_spline(self, name):
+        mesh = SPLINE_MESHES[name]()
+        space = P1Space.of(mesh)
+        y = np.random.default_rng(5).standard_normal(mesh.n_boundary_cells)
+        vals, slopes = perturbation._trace_spline(space, y)
+        ref_vals, ref_slopes = periodic_spline_at(mesh, y, space.boundary_gauss_points())
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-13 * np.max(np.abs(ref_vals))
+        assert np.max(np.abs(slopes - ref_slopes)) <= 1e-13 * np.max(np.abs(ref_slopes))
+
+    @pytest.mark.parametrize("name", SPLINE_MESHES)
+    @pytest.mark.parametrize("c", [1.0, -3.7e5])
+    def test_constant_trace_is_flat(self, name, c):
+        mesh = SPLINE_MESHES[name]()
+        vals, slopes = perturbation._trace_spline(P1Space.of(mesh), np.full(mesh.n_boundary_cells, c))
+        assert np.max(np.abs(slopes)) <= 1e-15 * abs(c)
+        assert np.allclose(vals, c, rtol=1e-15, atol=0)
 
 
 class TestDerivativeFormulas:
