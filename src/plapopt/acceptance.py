@@ -73,10 +73,10 @@ def _criterion(name):
 
         @functools.wraps(check)
         def run():
-            t0 = time.time()
+            t0 = time.perf_counter()
             passed, details = check()
             return CriterionResult(
-                number, name, bool(passed), details, time.time() - t0
+                number, name, bool(passed), details, time.perf_counter() - t0
             )
 
         ALL_CRITERIA.append(run)

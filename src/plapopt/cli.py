@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .acceptance import run_criteria
 from .fileio import (
@@ -49,9 +47,9 @@ def parse_config(path, actions):
     argparse actions by destination).
 
     Unknown keys are rejected and each value is converted by its flag's
-    ``type`` (``str`` if none), item by item where the flag takes a list;
-    then the values meet the same checks as flag values (p range,
-    existing paths).
+    ``type`` (``str`` if none), item by item where the flag takes a list,
+    and must be one of the flag's ``choices`` if it has any; then the
+    values meet the same checks as flag values (p range, existing paths).
     """
     try:
         with open(path) as fh:
@@ -83,6 +81,10 @@ def parse_config(path, actions):
             name = kind.__name__
             what = f"a list of {name}" if many else ("an int" if kind is int else f"a {name}")
             raise ConfigError(f"{path}: {key} must be {what}, got {value!r}") from None
+        choices = actions[key].choices
+        bad = [v for v in items if choices is not None and v not in choices]
+        if bad:
+            raise ConfigError(f"{path}: {key} must be one of {list(choices)}, got {bad[0]!r}")
         cfg[key] = items if many else items[0]
     return cfg
 
@@ -100,12 +102,14 @@ def _existing(path, key):
     return path
 
 
-def _load_mesh(path):
-    mesh = read_mesh(_existing(path, "mesh"))
+def _read_problem(args, load_key):
+    """The valid mesh ``args.mesh`` and the load that ``args.<load_key>``
+    names on it."""
+    mesh = read_mesh(_existing(args.mesh, "mesh"))
     report = validate_mesh(mesh)
     if not report.ok:
-        raise ConfigError(f"mesh {path!r} is invalid: {report.violations[0]}")
-    return mesh
+        raise ConfigError(f"mesh {args.mesh!r} is invalid: {report.violations[0]}")
+    return mesh, read_load(_existing(getattr(args, load_key), load_key), mesh)
 
 
 def _provenance(args, mesh_path=None, seed=None):
@@ -125,10 +129,8 @@ def cmd_mesh(args):
         n_radial = (max(2, round(args.n / 6.4)) if args.n_radial is None
                     else args.n_radial)
         mesh = build_disk_mesh(args.radius, args.n, n_radial)
-    elif args.shape == "square":
-        mesh = build_square_mesh(args.side, args.n)
     else:
-        raise ConfigError(f"unknown shape {args.shape!r}")
+        mesh = build_square_mesh(args.side, args.n)
     report = validate_mesh(mesh)
     if not report.ok:
         raise RuntimeError(f"generated mesh failed validation: {report.violations}")
@@ -140,8 +142,7 @@ def cmd_mesh(args):
 
 def cmd_solve(args):
     config = SolveConfig(p=args.p)
-    mesh = _load_mesh(args.mesh)
-    f = read_load(_existing(args.load, "load"), mesh)
+    mesh, f = _read_problem(args, "load")
     out = _default_out(args.out, "solve.json")
     state, rep = solve(mesh, f, config)
     payload = {
@@ -174,8 +175,7 @@ def cmd_optimize(args):
         seed=args.seed,
         max_outer_iters=args.max_iters,
     )
-    mesh = _load_mesh(args.mesh)
-    f0 = read_load(_existing(args.load0, "load0"), mesh)
+    mesh, f0 = _read_problem(args, "load0")
     out_dir = _default_out(args.out, "optimize-out")
     os.makedirs(out_dir, exist_ok=True)
     fhat, uhat, hist = maximize_over_rearrangements(mesh, f0, config)
@@ -211,8 +211,7 @@ def cmd_optimize(args):
 
 def cmd_derivative(args):
     config = SolveConfig(p=args.p)
-    mesh = _load_mesh(args.mesh)
-    f = read_load(_existing(args.load, "load"), mesh)
+    mesh, f = _read_problem(args, "load")
     out = _default_out(args.out, "derivative.json")
     field = tangent_field(args.field, mesh.total_boundary_length)
     rep = derivative_report(mesh, f, field, config, t=args.t)
@@ -243,8 +242,6 @@ def cmd_derivative(args):
 
 
 def cmd_suite(args):
-    if args.kind != "acceptance":
-        raise ConfigError(f"unknown suite {args.kind!r}; available: acceptance")
     numbers = set(args.criteria) if args.criteria else None
     results = run_criteria(numbers)
     out = _default_out(args.out, "acceptance.json")
@@ -252,7 +249,7 @@ def cmd_suite(args):
         "results": [
             {"number": r.number, "name": r.name, "passed": r.passed,
              "elapsed_s": r.elapsed,
-             "details": _jsonable(r.details)}
+             "details": r.details}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
@@ -263,16 +260,6 @@ def cmd_suite(args):
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPTANCE
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="plapopt",
@@ -281,56 +268,48 @@ def build_parser():
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # flags shared by every subcommand, and by those that solve on a mesh
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None)
+    common.add_argument("--config", default=None)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--mesh", required=True)
+    problem.add_argument("--p", type=float, required=True)
 
-    m = sub.add_parser("mesh", help="generate a disk or square mesh")
+    def command(name, func, summary, *parents):
+        cmd = sub.add_parser(name, help=summary, parents=[*parents, common])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    m = command("mesh", cmd_mesh, "generate a disk or square mesh")
     m.add_argument("--shape", choices=["disk", "square"], default="disk")
     m.add_argument("--n", type=int, default=64,
                    help="boundary points (disk) or cells per side (square)")
     m.add_argument("--n-radial", dest="n_radial", type=int, default=None)
     m.add_argument("--radius", type=float, default=1.0)
     m.add_argument("--side", type=float, default=1.0)
-    m.add_argument("--out", default=None)
-    m.add_argument("--config", default=None)
-    m.set_defaults(func=cmd_mesh)
 
-    s = sub.add_parser("solve", help="solve the Neumann problem for a load")
-    s.add_argument("--mesh", required=True)
+    s = command("solve", cmd_solve, "solve the Neumann problem for a load", problem)
     s.add_argument("--load", required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--out", default=None)
-    s.add_argument("--config", default=None)
-    s.set_defaults(func=cmd_solve)
 
-    o = sub.add_parser("optimize", help="maximize J over rearrangements of a load")
-    o.add_argument("--mesh", required=True)
+    o = command("optimize", cmd_optimize, "maximize J over rearrangements of a load",
+                problem)
     o.add_argument("--load0", required=True)
-    o.add_argument("--p", type=float, required=True)
     o.add_argument("--restarts", type=int, default=1)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--max-iters", dest="max_iters", type=int, default=50)
-    o.add_argument("--out", default=None)
-    o.add_argument("--config", default=None)
-    o.set_defaults(func=cmd_optimize)
 
-    d = sub.add_parser("derivative", help="four estimates of dJ/dt under a "
-                                          "tangential boundary flow")
-    d.add_argument("--mesh", required=True)
+    d = command("derivative", cmd_derivative, "four estimates of dJ/dt under a "
+                                              "tangential boundary flow", problem)
     d.add_argument("--load", required=True)
-    d.add_argument("--p", type=float, required=True)
     d.add_argument("--field", required=True,
                    help="constant | sin:k | cos:k | bump:center,width")
     d.add_argument("--t", type=float, default=1e-3)
-    d.add_argument("--out", default=None)
-    d.add_argument("--config", default=None)
-    d.set_defaults(func=cmd_derivative)
 
-    a = sub.add_parser("suite", help="run a named verification suite")
-    a.add_argument("kind", nargs="?", default="acceptance")
+    a = command("suite", cmd_suite, "run a named verification suite")
+    a.add_argument("kind", nargs="?", default="acceptance", choices=["acceptance"])
     a.add_argument("--criteria", type=int, nargs="*", default=None,
                    help="criterion numbers to run (default: all)")
-    a.add_argument("--out", default=None)
-    a.add_argument("--config", default=None)
-    a.set_defaults(func=cmd_suite)
     ap.commands = sub.choices  # subcommand name -> its parser
     return ap
 
@@ -348,7 +327,7 @@ def main(argv=None):
                        if a.dest not in ("help", "config")}
             vars(args).update(parse_config(args.config, actions))
         return args.func(args)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError; unreadable or unwritable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -56,8 +56,17 @@ def atomic_write_text(path, text):
         raise
 
 
+def _numpy_scalar(obj):
+    """``json.dumps`` default: a numpy scalar as its Python value."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """JSON with sorted keys; numpy scalars are written as Python numbers."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_numpy_scalar)
+    atomic_write_text(path, text + "\n")
 
 
 def write_csv(path, header, rows):
@@ -125,13 +134,7 @@ def write_load(path, f: LoadField):
 
 
 def read_load(path, mesh: DomainMesh) -> LoadField:
-    values = np.loadtxt(path, dtype=float, ndmin=1)
-    if values.size != mesh.n_boundary_cells:
-        raise ValueError(
-            f"{path}: {values.size} values for a mesh with "
-            f"{mesh.n_boundary_cells} boundary cells"
-        )
-    return LoadField.from_values(mesh, values)
+    return LoadField.from_values(mesh, np.loadtxt(path, dtype=float, ndmin=1))
 
 
 def file_sha256(path):

@@ -51,7 +51,7 @@ import numpy as np
 
 from .geometry import unequal_cell
 from .rearrangement import LoadField, best_response, comonotonicity_defect
-from .solver import NEWTON_TOL, SolveConfig, SolverError, solve
+from .solver import NEWTON_TOL, SolveConfig, solve
 
 __all__ = [
     "OptimizeConfig",
@@ -165,9 +165,10 @@ def _run_single(mesh, f, config, restart, history):
         # it would end the restart, one more warm solve to NEWTON_TOL, whose
         # trace decides the best response and the stop again (so the loop
         # below runs at most twice: that solve's state is tight)
-        state, report = _state_solve(mesh, f, config, u_prev, INNER_TOL, restart, it)
+        state, report = solve(mesh, f, config.solver, u_init=u_prev, tol=INNER_TOL)
         steps = factorizations = 0
         while True:
+            report.require_converged(f"state solve at restart {restart}, iteration {it}")
             steps += sum(report.iterations_per_stage)
             factorizations += report.factorizations
             tight = report.final_residual <= NEWTON_TOL
@@ -183,7 +184,7 @@ def _run_single(mesh, f, config, restart, history):
             )
             if tight or not stop:
                 break
-            state, report = _state_solve(mesh, f, config, state, NEWTON_TOL, restart, it)
+            state, report = solve(mesh, f, config.solver, u_init=state, tol=NEWTON_TOL)
         history.records.append(
             IterationRecord(
                 restart=restart,
@@ -205,12 +206,3 @@ def _run_single(mesh, f, config, restart, history):
         J_prev = J
         f = f_next
 
-
-def _state_solve(mesh, f, config, u_init, tol, restart, it):
-    state, report = solve(mesh, f, config.solver, u_init=u_init, tol=tol)
-    if not report.converged:
-        raise SolverError(
-            f"state solve failed at restart {restart}, iteration {it}: "
-            f"residual {report.final_residual:.3e}"
-        )
-    return state, report

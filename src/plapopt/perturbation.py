@@ -39,7 +39,7 @@ from scipy.sparse.linalg import spsolve
 
 from .fem import EDGE_QP, P1Space
 from .rearrangement import LoadField
-from .solver import SolveConfig, SolverError, StateField, solve
+from .solver import SolveConfig, StateField, solve
 
 __all__ = [
     "TangentField",
@@ -328,14 +328,6 @@ def deriv_bvjump_formula(mesh, u0: StateField, f: LoadField, field: TangentField
     return p / (p - 1.0) * JUMP_SIGN * total
 
 
-def _converged_solve(mesh, f, config, u_init, what):
-    """``solve``, raising SolverError if the residual missed NEWTON_TOL."""
-    state, rep = solve(mesh, f, config, u_init)
-    if not rep.converged:
-        raise SolverError(f"{what} stalled at residual {rep.final_residual:.3e}")
-    return state, rep
-
-
 def _check_step(mesh, t):
     """Refuse a finite-difference step outside (0, L], L the boundary
     length, with ValueError: a flow beyond one period is no difference
@@ -355,9 +347,8 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
     Js = []
     for tau in (t, -t):
         ft = transport_load(mesh, f, field, tau)
-        _, rep = _converged_solve(
-            mesh, ft, config, u_init, f"transported solve at t={tau:g}"
-        )
+        _, rep = solve(mesh, ft, config, u_init)
+        rep.require_converged(f"transported solve at t={tau:g}")
         Js.append(rep.J)
     return (Js[0] - Js[1]) / (2.0 * t)
 
@@ -377,7 +368,8 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
     space = P1Space.of(mesh)
     p = config.p
     q = p / (p - 1.0)
-    u0, _ = _converged_solve(mesh, f, config, None, "base solve")
+    u0, rep = solve(mesh, f, config)
+    rep.require_converged("base solve")
     base = PiecewiseBoundaryFunction.from_load(mesh, f)
     u_norms, f_norms = [], []
     for t in t_sequence:
@@ -386,9 +378,8 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
             f_norms.append(0.0)
             continue
         ft = transport_load(mesh, f, field, t)
-        ut, _ = _converged_solve(
-            mesh, ft, config, u0, f"transported solve at t={t:g}"
-        )
+        ut, rep = solve(mesh, ft, config, u0)
+        rep.require_converged(f"transported solve at t={t:g}")
         diff = ut.nodal_values - u0.nodal_values
         gterm, mterm = space.integrate_lp(diff, p)
         u_norms.append((gterm + mterm) ** (1.0 / p))
@@ -437,7 +428,8 @@ def derivative_report(mesh, f: LoadField, field: TangentField,
     finite-difference step outside (0, L] raises ValueError before the
     base solve."""
     _check_step(mesh, t)
-    u0, rep = _converged_solve(mesh, f, config, None, "base solve")
+    u0, rep = solve(mesh, f, config)
+    rep.require_converged("base solve")
     vals = {
         "volume": deriv_volume_formula(mesh, u0, f, field),
         "surfdiv": deriv_surfdiv_formula(mesh, u0, f, field),

@@ -239,6 +239,12 @@ class SolveReport:
         that ``solve`` was given (NEWTON_TOL by default)."""
         return self.stage_exits[-1] == "converged"
 
+    def require_converged(self, what):
+        """Raise SolverError naming ``what`` (the solve's role) unless the
+        solve converged."""
+        if not self.converged:
+            raise SolverError(f"{what} stalled at residual {self.final_residual:.3e}")
+
 
 def _load_vector(mesh, f):
     """Nodal load vector b of f, so that int f u ds = b.u for P1 fields u.

@@ -189,6 +189,31 @@ class TestSolveCommand:
             assert not os.path.exists("bad-out")
 
 
+class TestPathErrors:
+    # a directory where a file is read or written, or a file where the
+    # output directory goes: each is a configuration error, not a traceback
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mesh", "dir", "--load", "f.txt", "--p", "2", "--out", "s.json"],
+        ["solve", "--mesh", "m.txt", "--load", "dir", "--p", "2", "--out", "s.json"],
+        ["solve", "--mesh", "m.txt", "--load", "f.txt", "--p", "2", "--out", "dir"],
+        ["derivative", "--mesh", "m.txt", "--load", "f.txt", "--p", "2",
+         "--field", "sin:1", "--out", "dir"],
+        ["mesh", "--n", "8", "--out", "dir"],
+        ["optimize", "--mesh", "m.txt", "--load0", "f.txt", "--p", "2",
+         "--out", "file.txt"],
+    ], ids=["solve-mesh-dir", "solve-load-dir", "solve-out-dir", "derivative-out-dir",
+            "mesh-out-dir", "optimize-out-file"])
+    def test_is_config_error(self, workdir, mesh_file, load_file, capsys, argv):
+        (workdir / "dir").mkdir()
+        (workdir / "file.txt").write_text("taken\n")
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(workdir.rglob(".tmp-*"))
+        assert not os.path.exists("s.json")
+        assert [p.name for p in (workdir / "dir").iterdir()] == []
+
+
 class TestOptimizeCommand:
     def test_outputs_and_determinism(self, workdir, mesh_file, load_file):
         args = ["optimize", "--mesh", str(mesh_file), "--load0", str(load_file),
@@ -424,7 +449,8 @@ class TestParseConfig:
 
     def test_values_take_their_flag_type(self, workdir, mesh_file, load_file, capsys):
         # a str flag, an int flag and a list-of-int flag, each given a
-        # value its type refuses, stop before anything is written
+        # value its type refuses, and a flag given a value outside its
+        # choices, stop before anything is written
         rc, err = _solve_with_config(
             {"mesh": str(mesh_file), "load": str(load_file), "out": 1}, capsys
         )
@@ -432,6 +458,8 @@ class TestParseConfig:
         assert not os.path.exists("s.json") and not os.path.exists("1")
         for command, cfg, message in (
             (["mesh", "--out", "m2.txt"], {"n_radial": "x"}, "n_radial must be an int, got 'x'"),
+            (["mesh", "--out", "m2.txt"], {"shape": "hexagon"},
+             "shape must be one of ['disk', 'square'], got 'hexagon'"),
             (["suite", "--out", "acc.json"], {"criteria": "4"},
              "criteria must be a list of int, got '4'"),
         ):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from plapopt.fileio import (
     fmt,
     read_load,
     read_mesh,
+    write_json,
     write_load,
     write_mesh,
 )
@@ -86,6 +89,21 @@ class TestLoadFormat:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="32"):
             read_load(path, mesh)
+
+
+class TestJson:
+    def test_numpy_scalars_are_written_as_python_values(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_json(path, {"n": np.int64(7), "ok": np.bool_(True),
+                          "x": [np.float64(0.1), np.float32(0.5)],
+                          "by_p": {1.5: np.int64(-3)}})
+        assert json.loads(path.read_text()) == {
+            "n": 7, "ok": True, "x": [0.1, 0.5], "by_p": {"1.5": -3}}
+
+    def test_other_objects_are_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            write_json(tmp_path / "r.json", {"x": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrite:

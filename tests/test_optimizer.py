@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from plapopt.acceptance import STEP_LEVELS
+from plapopt.cli import EXIT_SOLVER, main
+from plapopt.fileio import write_load, write_mesh
 from plapopt.geometry import DomainMesh, build_disk_mesh, validate_mesh
-from plapopt import optimizer
+from plapopt import optimizer, solver
 from plapopt.optimizer import (
     INNER_TOL,
     J_TOL,
@@ -17,7 +20,7 @@ from plapopt.rearrangement import (
     comonotonicity_defect,
     step_load,
 )
-from plapopt.solver import NEWTON_TOL, SolveConfig, solve
+from plapopt.solver import EPS_STAGES, NEWTON_TOL, SolveConfig, SolverError, solve
 
 from oracles import same_class
 
@@ -257,6 +260,36 @@ class TestMaximize:
         f0 = binary_load(bad, 3)
         with pytest.raises(ValueError, match="equal"):
             maximize_over_rearrangements(bad, f0, _config(2.0))
+
+
+class TestUnconvergedStateSolve:
+    # Newton-starved at p = 1.5: one stage of 4 steps leaves the first
+    # state solve of criterion 1's step load at residual 6.4e-5
+    @pytest.fixture(autouse=True)
+    def starve(self, monkeypatch):
+        monkeypatch.setattr(solver, "EPS_STAGES", EPS_STAGES[:1])
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
+
+    @pytest.fixture(scope="class")
+    def disk(self):
+        return build_disk_mesh(1.0, 64, 10)
+
+    def test_refused_naming_restart_and_iteration(self, disk):
+        f0 = step_load(disk, STEP_LEVELS)
+        with pytest.raises(SolverError, match=r"state solve at restart 0, iteration 0 "
+                                              r"stalled at residual 6\.\d+e-05"):
+            maximize_over_rearrangements(disk, f0, _config(1.5))
+
+    def test_cli_exits_3(self, disk, tmp_path, capsys):
+        write_mesh(tmp_path / "m.txt", disk)
+        write_load(tmp_path / "f.txt", step_load(disk, STEP_LEVELS))
+        rc = main(["optimize", "--mesh", str(tmp_path / "m.txt"),
+                   "--load0", str(tmp_path / "f.txt"), "--p", "1.5",
+                   "--out", str(tmp_path / "opt")])
+        assert rc == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "stalled at residual" in err
+        assert not (tmp_path / "opt" / "summary.json").exists()
 
 
 class TestOptimizeConfig:
