@@ -70,19 +70,6 @@ EDGE_QW = np.array([0.5, 0.5])
 PCG_MIN_VERTICES = 64
 
 
-def _over(a, s, eps):
-    """a / s, and 0 where s = 0.
-
-    s = |grad u|^2 + eps^2 or u^2 + eps^2 is at least eps^2, so it is 0
-    only where eps = 0 and the gradient or the value vanishes. Each
-    quotient is multiplied by that vanishing factor, so 0 is the correct
-    limit there. The masked division is slower than the plain one, so it
-    serves only eps = 0."""
-    if eps * eps > 0.0:
-        return a / s
-    return np.divide(a, s, out=np.zeros_like(s), where=s > 0.0)
-
-
 class Evaluation:
     """A nodal field u evaluated at one (p, eps): its images under the
     space's operators and the powers that energy, residual and Hessian
@@ -209,26 +196,27 @@ class P1Space:
 
     def residual(self, u, b, p, eps, at=None):
         """Gradient of ``energy`` with respect to the nodal values:
-        G^T (areas s^{(p-2)/2} grad u) + Q^T (weights m^{(p-2)/2} u) - b."""
+        G^T (areas s^{(p-2)/2} grad u) + Q^T (weights m^{(p-2)/2} u) - b,
+        for eps > 0 (every rung of the solver's EPS_STAGES), so s, m > 0."""
         if at is None:
             at = self.evaluate(u, p, eps)
-        flux = (self.areas * _over(at.sp, at.s, eps)) * at.grad
-        mass = self.qweights * _over(at.mp, at.m, eps) * at.uq
+        flux = (self.areas * (at.sp / at.s)) * at.grad
+        mass = self.qweights * (at.mp / at.m) * at.uq
         return self._Gt @ flux.ravel() + self._Qt @ mass.ravel() - b
 
     def hessian(self, u, p, eps, at=None):
-        """Sparse Hessian of ``energy``; exact, and SPD for 1 < p and
-        eps > 0."""
+        """Sparse Hessian of ``energy`` for eps > 0; exact, and SPD for
+        1 < p."""
         if at is None:
             at = self.evaluate(u, p, eps)
-        c1 = self.areas * _over(at.sp, at.s, eps)
-        c2 = (p - 2.0) * _over(c1, at.s, eps)
+        c1 = self.areas * (at.sp / at.s)
+        c2 = (p - 2.0) * (c1 / at.s)
         bg = self._hat[0] * at.grad[0] + self._hat[1] * at.grad[1]  # (3, n_t)
         bgbg = (bg[:, None] * bg[None, :]).reshape(9, -1)
         bgbg *= c2
         # m^{(p-4)/2} ((p-1) u^2 + eps^2), the derivative of the
         # residual's mass term u m^{(p-2)/2}
-        cq = _over(_over(at.mp, at.m, eps), at.m, eps)
+        cq = (at.mp / at.m) / at.m
         w = self.qweights * cq * ((p - 1.0) * at.uq * at.uq + eps * eps)
         local = self._qq @ w
         local += c1 * self._gg

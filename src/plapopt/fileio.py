@@ -50,7 +50,10 @@ def atomic_write_text(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # it names tmp too, which is removed below
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -28,7 +28,7 @@ stage inside its Newton region, as in inexact path-following (Deuflhard,
 both terms alike, so the energy is smooth and its Hessian exact and SPD
 for every eps > 0. The limit eps -> 0 recovers the p-Laplacian problem.
 
-A warm start (a given ``u_init``, typically the solution for a nearby
+A warm start (a given ``u_init``, typically the state of a nearby
 load) skips the continuation: its first stage runs directly at the last
 rung and leaves as soon as Newton stops contracting the residual (see
 WARM_WINDOW), the usual local-convergence monitor (Deuflhard, ch. 3).
@@ -85,8 +85,9 @@ operators dense (see ``fem``), but the Hessian
 stays CSC and the step stays ``spsolve``: a dense Hessian solved by
 ``np.linalg.solve`` would be cheaper still at that size, but the
 benchmark (``perfbench``) traces the direct path through
-``solver.spsolve``. The stop test, the line search and the
-steepest-descent fallback are the same on both paths.
+``solver.spsolve``. The stop test and the line search are the same on
+both paths; a direction that is not a finite descent direction (a
+singular system gives NaN on either path) ends the stage as "stall".
 
 Every field a solve meets, the start of a stage or a line-search trial
 u + alpha d, is evaluated once from its nodal values
@@ -104,10 +105,11 @@ supremum of
 so |J - I(u_f)| (the duality gap) is a solver-quality diagnostic.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import MatrixRankWarning, splu, spsolve
 
 from .fem import PCG_MIN_VERTICES, P1Space
 from .rearrangement import LoadField
@@ -213,13 +215,15 @@ class SolveReport:
     eps_stages: list
     # why each stage stopped: "converged" (the solve's tol at the last rung of
     # EPS_STAGES, the reduction by STAGE_REDUCTION at an earlier one),
-    # "cap" (MAX_NEWTON_ITERS steps taken), "stall" (the line search found
-    # no acceptable step) or, for a warm start's first stage only, "slow"
+    # "cap" (MAX_NEWTON_ITERS steps taken), "stall" (no finite descent
+    # direction, or the line search found no acceptable step; the attempted
+    # step counts) or, for a warm start's first stage only, "slow"
     # (Newton stopped contracting the residual; see WARM_WINDOW). A warm
     # start whose stage at the last rung missed lists that stage first,
     # then the whole ladder, run from u = 0; so does a solve whose ray
     # stage, which is such a warm stage, missed.
     stage_exits: list
+    # always 0: Newton has no fallback; kept while perfbench reads it
     gradient_fallbacks: int = 0
     # sparse LU factorizations and CG iterations, summed over the stages;
     # on the direct path (below PCG_MIN_VERTICES) every Newton step is one
@@ -306,7 +310,10 @@ class _NewtonSystems:
     def solve(self, H, rhs, rtol):
         if self.lu is None and self.small:
             self.factorizations += 1
-            return spsolve(H, rhs, permc_spec="MMD_AT_PLUS_A")
+            with warnings.catch_warnings():
+                # exactly singular: NaN, no direction, as from splu below
+                warnings.simplefilter("ignore", MatrixRankWarning)
+                return spsolve(H, rhs, permc_spec="MMD_AT_PLUS_A")
         if self.lu is not None:
             x, its = _pcg(H, rhs, self.lu, rtol)
             self.cg_iterations += its
@@ -315,12 +322,15 @@ class _NewtonSystems:
         self.factorizations += 1
         try:
             self.lu = splu(H, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:  # exactly singular: no direction, as spsolve
+        except RuntimeError:  # exactly singular: no direction
             self.lu = None
             return np.full_like(rhs, np.nan)
         return self.lu.solve(rhs)
 
 
+# A non-finite value (an overflowing trial, a singular system) ends in a
+# rejected trial or a "stall", which the report states; no warning.
+@np.errstate(all="ignore")
 def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
     """Damped inexact Newton at fixed eps for at most MAX_NEWTON_ITERS
     steps, from u; ``systems`` solves each step to the forcing term's
@@ -330,10 +340,9 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
     at ``tol``. A ``warm`` stage also stops once it no longer contracts
     the residual (see WARM_WINDOW).
 
-    Returns (u, iterations, fallbacks, residual_norm, reason), where
-    reason is "converged", "cap", "stall" or "slow" (see
+    Returns (u, iterations, residual_norm, reason), where reason is
+    "converged", "cap", "stall" or "slow" (see
     ``SolveReport.stage_exits``)."""
-    fallbacks = 0
     at = space.evaluate(u, p, eps)
     E = space.energy(u, b, p, eps, at)
     r = space.residual(u, b, p, eps, at)
@@ -344,18 +353,16 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
     eta = ETA_MAX
     for it in range(MAX_NEWTON_ITERS):
         if rnorm <= tol:
-            return u, it, fallbacks, rnorm, "converged"
+            return u, it, rnorm, "converged"
         if (warm and it >= WARM_WINDOW
                 and rnorm > WARM_CONTRACTION * rnorms[it - WARM_WINDOW]):
-            return u, it, fallbacks, rnorm, "slow"
+            return u, it, rnorm, "slow"
         H = space.hessian(u, p, eps, at)
-        with np.errstate(all="ignore"):
-            d = systems.solve(H, -r, eta)
-        slope = float(r @ d)
-        if not np.all(np.isfinite(d)) or slope >= 0.0:
-            d = -r  # singular or non-descent direction: steepest descent
-            slope = -float(rnorm * rnorm)
-            fallbacks += 1
+        d = systems.solve(H, -r, eta)
+        slope = float(r @ d)  # non-finite whenever d is
+        if not np.isfinite(slope) or slope >= 0.0:
+            # no finite descent direction: no step
+            return u, it + 1, rnorm, "stall"
         alpha = 1.0
         # rounding slack: near the minimum the true energy decrease falls
         # below float resolution while the step is still productive
@@ -369,7 +376,7 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
             alpha *= LINE_SEARCH_SHRINK
         else:
             # Energy cannot decrease along d within machine steps.
-            return u, it + 1, fallbacks, rnorm, "stall"
+            return u, it + 1, rnorm, "stall"
         u, at, E = u_try, at_try, E_try
         r = space.residual(u, b, p, eps, at)
         rnorm = np.linalg.norm(r)
@@ -379,7 +386,7 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
         # which ETA_MAX = 0.1 rules out.
         eta = min(ETA_MAX, 0.9 * (rnorm / rnorms[-2]) ** 2)
     reason = "converged" if rnorm <= tol else "cap"
-    return u, MAX_NEWTON_ITERS, fallbacks, rnorm, reason
+    return u, MAX_NEWTON_ITERS, rnorm, reason
 
 
 def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
@@ -390,11 +397,11 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
 
     Without ``u_init`` the solve starts from u = 0, with the mesh's K + M
     factor, and runs one stage per rung of EPS_STAGES (at p = 2 the last
-    rung only). ``u_init`` (a ``StateField`` or nodal values) makes it a
-    warm start: one stage at EPS_STAGES[-1], which leaves as "slow" once
-    its residual norm is above WARM_CONTRACTION times the norm
-    WARM_WINDOW Newton steps earlier; a ``StateField`` solved at the same
-    p hands over its kept factor. Above p = 2 a solve without ``u_init``,
+    rung only). ``u_init``, a ``StateField``, makes it a warm start: one
+    stage at EPS_STAGES[-1], which leaves as "slow" once its residual
+    norm is above WARM_CONTRACTION times the norm WARM_WINDOW Newton
+    steps earlier; a state solved at the same p hands over its kept
+    factor. Above p = 2 a solve without ``u_init``,
     and at p = 2 every solve, is such a warm start, with a cold solve's
     factor, from the p = 2 solution scaled to its least energy (at p = 2
     the solution itself), or none for a zero or overflowing load (see the
@@ -421,14 +428,12 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
     start_factor = cold_factor
     u_warm = None
     if u_init is not None:
-        nodal = u_init.nodal_values if isinstance(u_init, StateField) else u_init
-        u_warm = np.array(nodal, dtype=float)
+        u_warm = u_init.nodal_values
         if u_warm.size != mesh.n_vertices:
             raise ValueError(
                 f"state has {u_warm.size} values, mesh has {mesh.n_vertices} vertices"
             )
-        same_p = isinstance(u_init, StateField) and u_init.p == p
-        start_factor = u_init.factor if same_p else None
+        start_factor = u_init.factor if u_init.p == p else None
     if p == 2.0 or (p > 2.0 and u_warm is None):
         # the ray start: u2 = (K + M)^{-1} b scaled by s, where the eps = 0
         # energy (s^p / p) A - s b.u2 is least (s = 1 at p = 2, where u2
@@ -444,7 +449,7 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
                 if np.all(np.isfinite(u_ray)):
                     u_warm = u_ray
     systems = _NewtonSystems(space.n, start_factor)
-    stages = []  # (eps, iterations, fallbacks, residual norm, exit) per stage
+    stages = []  # (eps, iterations, residual norm, exit) per stage
 
     def stage(u, eps, warm=False):
         final = eps == EPS_STAGES[-1]
@@ -459,7 +464,7 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
         u = np.zeros(space.n)
         for eps in EPS_STAGES[-1:] if p == 2.0 else EPS_STAGES:
             u = stage(u, eps)
-    eps_list, iters, fallbacks, rnorms, exits = (list(c) for c in zip(*stages))
+    eps_list, iters, rnorms, exits = (list(c) for c in zip(*stages))
     state = StateField(u, space.trace_average(u), p, systems.lu)
     J = float(b @ u)
     I = _dual_I(space, u, J, p)
@@ -468,7 +473,6 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
         iterations_per_stage=iters,
         eps_stages=eps_list,
         stage_exits=exits,
-        gradient_fallbacks=sum(fallbacks),
         factorizations=systems.factorizations,
         cg_iterations=systems.cg_iterations,
         J=J,

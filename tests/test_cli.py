@@ -209,6 +209,10 @@ class TestPathErrors:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        # the message names the path at fault alone, not the temporary
+        # file that an output was written to and that is already removed
+        bad = "file.txt" if "file.txt" in argv else "dir"
+        assert err.rstrip().endswith(f": '{bad}'") and ".tmp-" not in err
         assert not list(workdir.rglob(".tmp-*"))
         assert not os.path.exists("s.json")
         assert [p.name for p in (workdir / "dir").iterdir()] == []

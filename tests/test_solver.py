@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -139,13 +140,6 @@ class TestResidual:
     def test_zero_at_origin_with_zero_load(self, disk):
         space, b = space_and_load(disk, LoadField.constant(disk, 0.0))
         r = space.residual(np.zeros(disk.n_vertices), b, 3.0, 0.01)
-        assert np.all(r == 0.0)
-
-    def test_singular_exponent_at_flat_state(self, disk):
-        # p < 2 with eps = 0: the bare |grad u|^{p-2} diverges on flat
-        # triangles; the residual limit is still zero
-        space, b = space_and_load(disk, LoadField.constant(disk, 0.0))
-        r = space.residual(np.zeros(disk.n_vertices), b, 1.5, 0.0)
         assert np.all(r == 0.0)
 
     def test_residual_small_at_solution(self, disk):
@@ -524,15 +518,39 @@ class TestSolve:
 
     def test_line_search_stall_is_reported(self, disk):
         # a load beyond floating range: the Newton slope overflows to -inf,
-        # no step passes the Armijo test, and every stage stops after one
-        # step as a stall, not at the iteration cap
+        # which is no finite descent direction, and every stage stops after
+        # one step as a stall, not at the iteration cap
         f = LoadField.constant(disk, 1e200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, rep = solve(disk, f, SolveConfig(p=2.0))
+        u, rep = solve(disk, f, SolveConfig(p=2.0))
         assert not rep.converged
         assert rep.stage_exits == ["stall"] * len(rep.eps_stages)
         assert rep.iterations_per_stage == [1] * len(rep.eps_stages)
         assert np.all(u.nodal_values == 0.0)
+
+    def test_uphill_newton_direction_stalls(self):
+        # 1e20 on four of the 16-cell disk's cells at p = 1.1: J is finite,
+        # but after ten steps rounding turns the Newton direction uphill.
+        # Every stage then stalls, none takes gradient steps to the cap
+        mesh = build_disk_mesh(1.0, 16, 2)
+        f = LoadField(np.array([1e20] * 4 + [0.0] * 12))
+        _, rep = solve(mesh, f, SolveConfig(p=1.1))
+        assert rep.stage_exits == ["stall"] * len(EPS_STAGES)
+        assert sum(rep.iterations_per_stage) < MAX_NEWTON_ITERS
+        assert rep.gradient_fallbacks == 0
+        assert np.isfinite(rep.J)
+
+    @pytest.mark.parametrize("seed, scale, p", [(0, 1e50, 1.2), (0, 1e175, 1.1),
+                                                (2, 1e125, 2.5)])
+    def test_overflow_is_reported_not_warned(self, small_disk, seed, scale, p):
+        # loads far beyond the arithmetic: the first meets an exactly
+        # singular Newton system, the others overflow in their first step.
+        # Every stage stalls, and the solve warns of nothing
+        f = random_step_load(small_disk, np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, rep = solve(small_disk, LoadField(scale * f.cell_values),
+                           SolveConfig(p=p))
+        assert set(rep.stage_exits) == {"stall"}
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -606,7 +624,9 @@ class TestRayStart:
         at_p3, _ = solve(mesh, other, SolveConfig(p=3.0))
         _, b = space_and_load(mesh, f)
         exact = space.stiffness_mass_factor().solve(b)
-        for start in (None, at_p2, at_p3, at_p3.nodal_values):
+        # a state at p = 2 that holds no factor, as one from a small mesh
+        bare = StateField(at_p3.nodal_values, at_p3.boundary_trace, 2.0)
+        for start in (None, at_p2, at_p3, bare):
             state, rep = solve(mesh, f, cfg, u_init=start)
             assert rep.converged
             assert rep.eps_stages == [EPS_STAGES[-1]]
@@ -616,7 +636,7 @@ class TestRayStart:
             assert (np.linalg.norm(state.nodal_values - exact)
                     <= 1e-12 * np.linalg.norm(exact))
         with pytest.raises(ValueError, match="state has 3 values"):
-            solve(mesh, f, cfg, u_init=np.zeros(3))
+            solve(mesh, f, cfg, u_init=StateField(np.zeros(3), np.zeros(2), 2.0))
         # a zero load has no ray start: the ladder's one rung stops at u = 0
         for start in (None, at_p3):
             state, rep = solve(mesh, LoadField.constant(mesh, 0.0), cfg, u_init=start)
@@ -660,8 +680,7 @@ class TestRayStart:
         # s u2 overflows for a load of 1e200: no ray start, and the ladder
         # from 0 stalls after one step at every rung
         f = LoadField.constant(disk, 1e200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, rep = solve(disk, f, SolveConfig(p=3.0))
+        u, rep = solve(disk, f, SolveConfig(p=3.0))
         assert not rep.converged
         assert rep.eps_stages == list(EPS_STAGES)
         assert rep.stage_exits == ["stall"] * len(EPS_STAGES)
@@ -726,14 +745,32 @@ class TestNewtonSystems:
         assert rep.cg_iterations == 0
         assert rep.J == pytest.approx(direct.J, rel=1e-13)
 
-    def test_singular_system_gives_no_direction(self):
-        # splu raises where spsolve returns NaN; either way the Newton
-        # loop gets a non-finite direction and falls back to the gradient
-        n = solver.PCG_MIN_VERTICES
+    @pytest.mark.parametrize("n", [solver.PCG_MIN_VERTICES - 1, solver.PCG_MIN_VERTICES])
+    def test_singular_system_gives_no_direction(self, n):
+        # spsolve (below PCG_MIN_VERTICES) returns NaN and splu raises;
+        # either way, and with no warning, the Newton loop gets a
+        # non-finite direction and ends the stage as "stall"
         systems = solver._NewtonSystems(n)
         d = systems.solve(sparse.csc_matrix((n, n)), np.ones(n), 0.1)
         assert np.all(np.isnan(d))
         assert systems.factorizations == 1 and systems.lu is None
+
+    def test_ascent_direction_ends_the_stage(self, disk):
+        # systems whose every solve points uphill (d = r): the stage takes
+        # no step, counts the attempted one and stalls, with u unchanged
+        class Uphill:
+            def solve(self, H, rhs, rtol):
+                return -rhs
+
+        space = P1Space.of(disk)
+        b = space.load_vector(step_load(disk, STEP_LEVELS).cell_values)
+        u0 = np.zeros(disk.n_vertices)
+        eps = EPS_STAGES[-1]
+        u, its, rnorm, reason = solver._newton_stage(
+            space, u0, b, 1.5, eps, Uphill(), True, False, NEWTON_TOL)
+        assert (its, reason) == (1, "stall")
+        assert u is u0
+        assert rnorm == np.linalg.norm(space.residual(u0, b, 1.5, eps))
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -812,10 +849,13 @@ class TestWarmStart:
     # at p = 2 every solve starts on the mesh's K + M factor
     @pytest.mark.parametrize("neighbours", [1.5, 3.0], indirect=True)
     def test_only_a_state_at_the_same_p_hands_its_factor(self, disk, neighbours):
+        # a state at another p hands no factor, nor does one at the same p
+        # that holds none
         ft, cfg, state, _ = neighbours
         other_p = 3.0 if cfg.p != 3.0 else 2.0
         elsewhere, _ = solve(disk, step_load(disk, STEP_LEVELS), SolveConfig(p=other_p))
-        for start in (elsewhere, state.nodal_values):
+        bare = StateField(state.nodal_values, state.boundary_trace, cfg.p)
+        for start in (elsewhere, bare):
             _, rep = solve(disk, ft, cfg, u_init=start)
             assert rep.converged
             assert rep.factorizations >= 1  # the first step factors afresh
@@ -934,7 +974,7 @@ class TestWarmStart:
     def test_wrong_size_start_rejected(self, disk):
         with pytest.raises(ValueError, match="state has 3 values"):
             solve(disk, LoadField.constant(disk, 1.0), SolveConfig(p=2.0),
-                  u_init=np.zeros(3))
+                  u_init=StateField(np.zeros(3), np.zeros(2), 2.0))
 
 
 class TestFunctionals:
