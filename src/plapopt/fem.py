@@ -212,15 +212,18 @@ class P1Space:
         c1 = self.areas * (at.sp / at.s)
         c2 = (p - 2.0) * (c1 / at.s)
         bg = self._hat[0] * at.grad[0] + self._hat[1] * at.grad[1]  # (3, n_t)
-        bgbg = (bg[:, None] * bg[None, :]).reshape(9, -1)
-        bgbg *= c2
         # m^{(p-4)/2} ((p-1) u^2 + eps^2), the derivative of the
         # residual's mass term u m^{(p-2)/2}
         cq = (at.mp / at.m) / at.m
         w = self.qweights * cq * ((p - 1.0) * at.uq * at.uq + eps * eps)
+        # local = qq w + c1 gg + c2 (bg bg^T), summed in that order; one
+        # (9, n_t) buffer holds each of the last two terms in turn
         local = self._qq @ w
-        local += c1 * self._gg
-        local += bgbg
+        term = np.multiply(c1, self._gg)
+        local += term
+        np.multiply(bg[:, None], bg[None, :], out=term.reshape(3, 3, -1))
+        term *= c2
+        local += term
         return self._assemble(local)
 
     def _assemble(self, local):
