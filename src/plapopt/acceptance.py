@@ -332,8 +332,8 @@ def criterion_9_transport_convergence():
 
 @_criterion("flow fidelity")
 def criterion_10_flow_fidelity():
-    """Flow group property to 1e-9; first-order expansion and tangential
-    Jacobian deviations shrink by ~4 per t-halving (second order)."""
+    """Flow group property to 1e-9; the first-order expansion's deviation
+    shrinks by ~4 per t-halving (second order)."""
     L = 2.0 * np.pi
     fld = tangent_field("sin:1", L)
     s = np.linspace(0.0, L, 37, endpoint=False)
@@ -346,21 +346,11 @@ def criterion_10_flow_fidelity():
     def expansion_dev(t):
         return float(np.max(np.abs(flow(fld, s, t) - (s + t * fld.speed(s)))))
 
-    def jacobian_dev(t):
-        jac = flow(fld, s, t, jacobian=True)[1]
-        return float(np.max(np.abs(jac - (1.0 + t * fld.speed_prime(s)))))
-
     e1, e2 = expansion_dev(1e-3), expansion_dev(5e-4)
-    j1, j2 = jacobian_dev(1e-3), jacobian_dev(5e-4)
-    exp_ratio, jac_ratio = e1 / e2, j1 / j2
-    ok = (
-        group_dev <= 1e-9
-        and 3.5 <= exp_ratio <= 4.5
-        and 3.5 <= jac_ratio <= 4.5
-        and e1 <= 1e-5
-    )
+    exp_ratio = e1 / e2
+    ok = group_dev <= 1e-9 and 3.5 <= exp_ratio <= 4.5 and e1 <= 1e-5
     return ok, {"group_dev": group_dev, "expansion_halving_ratio": exp_ratio,
-                "jacobian_halving_ratio": jac_ratio, "expansion_dev_1e-3": e1}
+                "expansion_dev_1e-3": e1}
 
 
 @_criterion("four-way derivative agreement on the square")

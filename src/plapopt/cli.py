@@ -106,9 +106,9 @@ def _read_problem(args, load_key):
     """The valid mesh ``args.mesh`` and the load that ``args.<load_key>``
     names on it."""
     mesh = read_mesh(_existing(args.mesh, "mesh"))
-    report = validate_mesh(mesh)
-    if not report.ok:
-        raise ConfigError(f"mesh {args.mesh!r} is invalid: {report.violations[0]}")
+    violations = validate_mesh(mesh)
+    if violations:
+        raise ConfigError(f"mesh {args.mesh!r} is invalid: {violations[0]}")
     return mesh, read_load(_existing(getattr(args, load_key), load_key), mesh)
 
 
@@ -131,9 +131,9 @@ def cmd_mesh(args):
         mesh = build_disk_mesh(args.radius, args.n, n_radial)
     else:
         mesh = build_square_mesh(args.side, args.n)
-    report = validate_mesh(mesh)
-    if not report.ok:
-        raise RuntimeError(f"generated mesh failed validation: {report.violations}")
+    violations = validate_mesh(mesh)
+    if violations:
+        raise RuntimeError(f"generated mesh failed validation: {violations}")
     write_mesh(out, mesh)
     print(f"wrote {out}: {mesh.n_vertices} vertices, "
           f"{mesh.n_triangles} triangles, {mesh.n_boundary_cells} boundary cells")

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "DomainMesh",
-    "MeshValidationReport",
     "build_disk_mesh",
     "build_square_mesh",
     "unequal_cell",
@@ -193,15 +192,6 @@ def build_square_mesh(side, n_per_side):
     return mesh
 
 
-@dataclass
-class MeshValidationReport:
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 def unequal_cell(mesh: DomainMesh):
     """The equal-cell rule: every boundary cell has the arclength L / n_b
     of an equal split of the boundary length L, to relative
@@ -221,11 +211,12 @@ def unequal_cell(mesh: DomainMesh):
     return None
 
 
-def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
+def validate_mesh(mesh: DomainMesh) -> list:
     """Check every structural invariant of a DomainMesh.
 
-    Returns a report listing violations (empty list means valid) rather
-    than raising, so constructed negative cases can be inspected.
+    Returns the list of violations, each a description (an empty list
+    means valid), rather than raising, so constructed negative cases can
+    be inspected.
     """
     v = []
 
@@ -248,7 +239,7 @@ def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
     n_b = loop.size
     if n_b == 0:  # the checks below need boundary cells
         v.append("boundary loop is empty")
-        return MeshValidationReport(v)
+        return v
     if np.unique(loop).size != n_b:
         v.append("boundary loop revisits a vertex (not a single cycle)")
     loop_edges = {
@@ -274,4 +265,4 @@ def validate_mesh(mesh: DomainMesh) -> MeshValidationReport:
     if area <= 0:
         v.append(f"boundary loop is not counter-clockwise (signed area {area:.3e})")
 
-    return MeshValidationReport(v)
+    return v

@@ -96,7 +96,6 @@ class IterationRecord:
     # I(u_k; f_k): a certified lower bound on J(f_k) for any u_k,
     # converged or not
     I: float
-    duality_gap: float
     defect: float
     changed: bool
     # whether the state met NEWTON_TOL; the last record of every restart
@@ -106,6 +105,10 @@ class IterationRecord:
     # and, where the restart ends, its tight re-solve
     newton_steps: int
     factorizations: int
+
+    @property
+    def duality_gap(self):
+        return abs(self.J - self.I)
 
 
 @dataclass
@@ -191,7 +194,6 @@ def _run_single(mesh, f, config, restart, history):
                 iteration=it,
                 J=J,
                 I=report.I,
-                duality_gap=report.duality_gap,
                 defect=comonotonicity_defect(f, state.boundary_trace),
                 changed=changed,
                 tight=tight,

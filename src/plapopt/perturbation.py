@@ -6,8 +6,7 @@ A periodic speed v(s) on the arclength chart generates the boundary flow
     d/dtau psi_tau(s) = v(psi_tau(s)),    psi_0(s) = s,
 
 which ``flow`` integrates by RK4 in ceil(400 |t|) steps of at most
-1/400 (with its tangential Jacobian on request) and which transports a
-load by pullback, f_t = f o psi_t^{-1}
+1/400 and which transports a load by pullback, f_t = f o psi_t^{-1}
 (``transport_load``): a step function whose breaks move with the flow
 and whose values ride along. With I(t) = J(f_t), four independent
 estimates of I'(0) are provided:
@@ -66,7 +65,7 @@ __all__ = [
 # frozen here.
 JUMP_SIGN = -1.0
 
-# transported_solution_check calls a distance sequence monotone when each
+# TransportConvergenceRecord calls a distance sequence monotone when each
 # value is at most this factor times the previous one.
 MONOTONE_SLACK = 1.1
 
@@ -108,16 +107,11 @@ def tangent_field(spec, period):
     if kind in ("sin", "cos"):
         k = int(arg) if arg else 1
         om = 2.0 * np.pi * k / L
-        if kind == "sin":
-            return TangentField(
-                name=f"sin:{k}",
-                speed=lambda s: np.sin(om * np.asarray(s, dtype=float)),
-                speed_prime=lambda s: om * np.cos(om * np.asarray(s, dtype=float)),
-            )
+        fn, dfn = (np.sin, np.cos) if kind == "sin" else (np.cos, lambda x: -np.sin(x))
         return TangentField(
-            name=f"cos:{k}",
-            speed=lambda s: np.cos(om * np.asarray(s, dtype=float)),
-            speed_prime=lambda s: -om * np.sin(om * np.asarray(s, dtype=float)),
+            name=f"{kind}:{k}",
+            speed=lambda s: fn(om * np.asarray(s, dtype=float)),
+            speed_prime=lambda s: om * dfn(om * np.asarray(s, dtype=float)),
         )
     if kind == "bump":
         try:
@@ -156,37 +150,27 @@ def tangent_field(spec, period):
     raise ValueError(f"unknown tangent field spec {spec!r}")
 
 
-def flow(field: TangentField, s, t, jacobian=False):
+def flow(field: TangentField, s, t):
     """psi_t(s) for an array of start points s, by classical RK4 with
     ceil(400 |t|) steps, each of length at most 1/400, so a
     finite-difference step t = 1e-3 is one RK4 step; a negative t flows
-    backwards. With
-    ``jacobian``, the pair (psi_t(s), d psi_t / ds), the tangential
-    Jacobian 1 + t v'(s) + O(t^2) integrated from dM/dtau = v'(sigma) M
-    alongside. A non-finite t raises ValueError."""
+    backwards. A non-finite t raises ValueError."""
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"flow time t must be finite, got {t}")
     s = np.array(s, dtype=float)
-    M = np.ones_like(s)
     if t == 0.0:
-        return (s, M) if jacobian else s
+        return s
     n_steps = max(1, int(np.ceil(abs(t) * 400.0)))
     h = t / n_steps
-    v, vp = field.speed, field.speed_prime
+    v = field.speed
     for _ in range(n_steps):
         k1 = v(s)
         k2 = v(s + 0.5 * h * k1)
         k3 = v(s + 0.5 * h * k2)
         k4 = v(s + h * k3)
-        if jacobian:
-            m1 = vp(s) * M
-            m2 = vp(s + 0.5 * h * k1) * (M + 0.5 * h * m1)
-            m3 = vp(s + 0.5 * h * k2) * (M + 0.5 * h * m2)
-            m4 = vp(s + h * k3) * (M + h * m3)
-            M = M + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return (s, M) if jacobian else s
+    return s
 
 
 class PiecewiseBoundaryFunction:
@@ -353,12 +337,22 @@ def deriv_finite_difference(mesh, f: LoadField, field: TangentField,
     return (Js[0] - Js[1]) / (2.0 * t)
 
 
+def _monotone(vals):
+    return all(b <= a * MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
+
+
 @dataclass
 class TransportConvergenceRecord:
     u_norms: list          # ||u_t - u_0||_{W^{1,p}}
     f_norms: list          # ||f_t - f||_{L^q}, q = p/(p-1)
-    u_monotone: bool
-    f_monotone: bool
+
+    @property
+    def u_monotone(self):
+        return _monotone(self.u_norms)
+
+    @property
+    def f_monotone(self):
+        return _monotone(self.f_norms)
 
 
 def transported_solution_check(mesh, f: LoadField, field: TangentField,
@@ -384,16 +378,7 @@ def transported_solution_check(mesh, f: LoadField, field: TangentField,
         gterm, mterm = space.integrate_lp(diff, p)
         u_norms.append((gterm + mterm) ** (1.0 / p))
         f_norms.append(lq_distance(ft, base, q))
-
-    def monotone(vals):
-        return all(b <= a * MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
-
-    return TransportConvergenceRecord(
-        u_norms=u_norms,
-        f_norms=f_norms,
-        u_monotone=monotone(u_norms),
-        f_monotone=monotone(f_norms),
-    )
+    return TransportConvergenceRecord(u_norms=u_norms, f_norms=f_norms)
 
 
 @dataclass

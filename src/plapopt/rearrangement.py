@@ -80,32 +80,36 @@ def comonotonicity_defect(f: LoadField, trace):
 
     Zero iff some nondecreasing map sends trace values to load values
     (up to ties within TIE_TOL). Pairs counted: trace_i < trace_j - TIE_TOL
-    while f_i > f_j + TIE_TOL, over all n(n-1)/2 pairs.
+    while f_i > f_j + TIE_TOL, over all n(n-1)/2 pairs; a load of fewer
+    than two cells has no pairs and defect 0.0.
     """
     trace = np.asarray(trace, dtype=float)
     vals = f.cell_values
     n = vals.size
     if trace.size != n:
         raise ValueError("trace length does not match load")
+    if n < 2:
+        return 0.0
     t_less = trace[:, None] < trace[None, :] - TIE_TOL
     f_more = vals[:, None] > vals[None, :] + TIE_TOL
     bad = int(np.count_nonzero(t_less & f_more))
     return bad / (n * (n - 1) / 2)
 
 
-def step_load(mesh, levels, proportions=None):
-    """Piecewise-constant load taking each level on a contiguous arc.
-
-    proportions (summing to 1) give the arc fractions; equal by default.
-    Cell counts are rounded, the last block absorbs the remainder.
+def step_load(mesh, levels):
+    """Piecewise-constant load taking each level on a contiguous arc of
+    equal share. Cell counts are rounded down, the last block absorbs the
+    remainder.
     """
     n = mesh.n_boundary_cells
     levels = np.asarray(levels, dtype=float)
     k = levels.size
-    if proportions is None:
-        proportions = np.full(k, 1.0 / k)
-    proportions = np.asarray(proportions, dtype=float)
-    counts = np.floor(proportions / proportions.sum() * n).astype(int)
+    if k == 0:
+        raise ValueError("step load needs at least one level")
+    # the shares' sum need not be exactly 1.0 in floating point, so the
+    # counts divide by it
+    shares = np.full(k, 1.0 / k)
+    counts = np.floor(shares / shares.sum() * n).astype(int)
     counts[-1] = n - counts[:-1].sum()
     if np.any(counts <= 0):
         raise ValueError("step load needs at least one cell per level")
@@ -124,14 +128,15 @@ def binary_load(mesh, n_ones, start=0):
     return LoadField.from_values(mesh, values)
 
 
-def random_step_load(mesh, rng, n_levels=3, low=-1.0, high=1.0):
-    """Random step load: n_levels random values on random contiguous arcs."""
+def random_step_load(mesh, rng):
+    """Random step load: 3 values uniform on [-1, 1) on random contiguous
+    arcs, rotated by a random shift."""
     n = mesh.n_boundary_cells
-    levels = rng.uniform(low, high, size=n_levels)
-    cuts = np.sort(rng.choice(np.arange(1, n), size=n_levels - 1, replace=False))
+    levels = rng.uniform(-1.0, 1.0, size=3)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=2, replace=False))
     bounds = np.concatenate([[0], cuts, [n]])
     values = np.empty(n)
-    for i in range(n_levels):
+    for i in range(3):
         values[bounds[i]:bounds[i + 1]] = levels[i]
     shift = int(rng.integers(n))
     return LoadField.from_values(mesh, np.roll(values, shift))

@@ -256,7 +256,10 @@ class SolveReport:
     cg_iterations: int = 0
     J: float = 0.0
     I: float = 0.0
-    duality_gap: float = 0.0
+
+    @property
+    def duality_gap(self):
+        return abs(self.J - self.I)
 
     @property
     def converged(self):
@@ -511,7 +514,6 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
         cg_iterations=systems.cg_iterations,
         J=J,
         I=I,
-        duality_gap=abs(J - I),
     )
     return state, report
 

@@ -48,7 +48,7 @@ def load_file(workdir, mesh_file):
 class TestMeshCommand:
     def test_disk_mesh_valid(self, mesh_file):
         mesh = read_mesh(mesh_file)
-        assert validate_mesh(mesh).ok
+        assert validate_mesh(mesh) == []
         assert mesh.n_boundary_cells == 32
 
     def test_square_mesh(self, workdir):

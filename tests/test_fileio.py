@@ -26,13 +26,13 @@ class TestMeshFormat:
         assert np.allclose(back.vertices, mesh.vertices, atol=0, rtol=0)
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.array_equal(back.boundary_loop, mesh.boundary_loop)
-        assert validate_mesh(back).ok
+        assert validate_mesh(back) == []
 
     def test_roundtrip_square(self, tmp_path):
         mesh = build_square_mesh(2.0, 3)
         path = tmp_path / "m.txt"
         write_mesh(path, mesh)
-        assert validate_mesh(read_mesh(path)).ok
+        assert validate_mesh(read_mesh(path)) == []
 
     def test_header_line(self, tmp_path):
         mesh = build_disk_mesh(1.0, 16, 2)

@@ -99,23 +99,23 @@ class TestSquareMesh:
         assert np.allclose(mesh.boundary_weights, 1.0, rtol=1e-14)
 
     def test_valid(self):
-        assert validate_mesh(build_square_mesh(2.0, 5)).ok
+        assert validate_mesh(build_square_mesh(2.0, 5)) == []
 
 
 class TestValidateMesh:
     def test_valid_disk_mesh(self):
-        report = validate_mesh(build_disk_mesh(1.0, 32, 4))
-        assert report.ok
-        assert report.violations == []
+        violations = validate_mesh(build_disk_mesh(1.0, 32, 4))
+        assert type(violations) is list
+        assert violations == []
 
     def test_flipped_triangle_detected(self):
         mesh = build_disk_mesh(1.0, 16, 3)
         tris = np.array(mesh.triangles)
         tris[5] = tris[5][::-1]
         bad = DomainMesh(mesh.vertices, tris, mesh.boundary_loop)
-        report = validate_mesh(bad)
-        assert not report.ok
-        assert any("triangle 5" in v for v in report.violations)
+        violations = validate_mesh(bad)
+        assert violations
+        assert any("triangle 5" in v for v in violations)
 
     def test_unequal_boundary_cells_detected(self):
         mesh = build_disk_mesh(1.0, 16, 3)
@@ -124,9 +124,9 @@ class TestValidateMesh:
         i = mesh.boundary_loop[4]
         verts[i] = 0.6 * verts[i] + 0.4 * verts[mesh.boundary_loop[5]]
         bad = DomainMesh(verts, mesh.triangles, mesh.boundary_loop)
-        report = validate_mesh(bad)
-        assert not report.ok
-        assert any("equal-arclength" in v for v in report.violations)
+        violations = validate_mesh(bad)
+        assert violations
+        assert any("equal-arclength" in v for v in violations)
 
     def test_frame_orthonormal(self):
         mesh = build_disk_mesh(1.0, 32, 4)
@@ -147,14 +147,14 @@ class TestValidateMesh:
         triangles = np.arange(n_vertices).reshape(-1, 3)
         bad = DomainMesh(vertices, triangles, np.zeros(0, dtype=np.int64))
         assert unequal_cell(bad) == "boundary loop is empty"
-        assert validate_mesh(bad).violations == ["boundary loop is empty"]
+        assert validate_mesh(bad) == ["boundary loop is empty"]
 
     @pytest.mark.parametrize("mesh", [build_disk_mesh(1.0, 16, 3),
                                       build_square_mesh(1.0, 4)],
                              ids=["disk", "square"])
     def test_clockwise_loop_detected(self, mesh):
         bad = DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop[::-1])
-        violations = validate_mesh(bad).violations
+        violations = validate_mesh(bad)
         assert len(violations) == 1 and "not counter-clockwise" in violations[0]
 
     def test_mesh_immutable(self):

@@ -121,6 +121,10 @@ class TestComonotonicityDefect:
     def test_ties_not_counted(self):
         assert comonotonicity_defect(_load([2, 1]), [0.5, 0.5]) == 0.0
 
+    @pytest.mark.parametrize("values", [[], [1.0]])
+    def test_no_pairs_is_zero(self, values):
+        assert comonotonicity_defect(LoadField(values), np.zeros(len(values))) == 0.0
+
 
 # hypothesis property tests: best_response is pure and combinatorial
 
@@ -179,10 +183,15 @@ def test_idempotent_on_comonotone_inputs(vt):
 
 class TestLoadConstructors:
     def test_step_load_levels(self):
+        # equal shares of 16 cells round down to 5, the last takes the rest
         mesh = build_disk_mesh(1.0, 16, 2)
-        f = step_load(mesh, [1.0, -1.0], proportions=[0.25, 0.75])
-        assert np.sum(f.cell_values == 1.0) == 4
-        assert np.sum(f.cell_values == -1.0) == 12
+        f = step_load(mesh, [1.0, -1.0, 0.5])
+        assert np.array_equal(f.cell_values, np.repeat([1.0, -1.0, 0.5], [5, 5, 6]))
+
+    def test_step_load_without_levels_rejected(self):
+        mesh = build_disk_mesh(1.0, 16, 2)
+        with pytest.raises(ValueError, match="at least one level"):
+            step_load(mesh, [])
 
     def test_binary_load_wraps(self):
         mesh = build_disk_mesh(1.0, 16, 2)

@@ -600,6 +600,13 @@ class TestSolve:
         with pytest.raises(TypeError):
             SolveConfig(p=2.0, eps_final=1e-8)
 
+    def test_duality_gap_is_derived(self, disk):
+        # |J - I| of the report's own fields, not a stored copy of it
+        assert "duality_gap" not in [f.name for f in dataclasses.fields(solver.SolveReport)]
+        _, rep = solve(disk, step_load(disk, STEP_LEVELS), SolveConfig(p=1.5))
+        assert rep.duality_gap > 0.0
+        assert rep.duality_gap == abs(rep.J - rep.I)
+
 
 class TestRayStart:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
