@@ -7,7 +7,6 @@ from .geometry import (
     DomainMesh,
     build_disk_mesh,
     build_square_mesh,
-    validate_mesh,
 )
 from .rearrangement import (
     LoadField,
@@ -47,7 +46,6 @@ __all__ = [
     "DomainMesh",
     "build_disk_mesh",
     "build_square_mesh",
-    "validate_mesh",
     "LoadField",
     "best_response",
     "binary_load",

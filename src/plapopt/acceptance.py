@@ -35,10 +35,7 @@ from .solver import SolveConfig, solve
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criteria"]
 
-# Boundary value of the p = 2 disk problem with unit flux, I0(1)/I1(1),
-# frozen from the shooting oracle (matches the Bessel quotient to 1e-13).
-TRACE_ORACLE_P2 = 2.2401937238700897
-# J = 2 pi I0(1)/I1(1) for the same problem.
+# J = 2 pi I0(1)/I1(1) of the p = 2 disk problem with unit flux.
 J_ORACLE_P2 = 14.075552291056471
 # Boundary value of the p = 3 disk problem with unit flux, frozen from the
 # shooting oracle (solve_ivp Radau rtol 1e-11 + bisection on the center value).

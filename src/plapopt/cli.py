@@ -27,7 +27,7 @@ from .fileio import (
     write_load,
     write_mesh,
 )
-from .geometry import build_disk_mesh, build_square_mesh, validate_mesh
+from .geometry import build_disk_mesh, build_square_mesh, unequal_cell
 from .optimizer import OptimizeConfig, maximize_over_rearrangements
 from .perturbation import derivative_report, tangent_field
 from .solver import SolveConfig, SolverError, solve
@@ -103,12 +103,12 @@ def _existing(path, key):
 
 
 def _read_problem(args, load_key):
-    """The valid mesh ``args.mesh`` and the load that ``args.<load_key>``
-    names on it."""
+    """The mesh ``args.mesh``, valid and with equal cells, and the load
+    that ``args.<load_key>`` names on it."""
     mesh = read_mesh(_existing(args.mesh, "mesh"))
-    violations = validate_mesh(mesh)
-    if violations:
-        raise ConfigError(f"mesh {args.mesh!r} is invalid: {violations[0]}")
+    unequal = unequal_cell(mesh)
+    if unequal:
+        raise ConfigError(f"mesh {args.mesh!r} is invalid: {unequal}")
     return mesh, read_load(_existing(getattr(args, load_key), load_key), mesh)
 
 
@@ -131,9 +131,6 @@ def cmd_mesh(args):
         mesh = build_disk_mesh(args.radius, args.n, n_radial)
     else:
         mesh = build_square_mesh(args.side, args.n)
-    violations = validate_mesh(mesh)
-    if violations:
-        raise RuntimeError(f"generated mesh failed validation: {violations}")
     write_mesh(out, mesh)
     print(f"wrote {out}: {mesh.n_vertices} vertices, "
           f"{mesh.n_triangles} triangles, {mesh.n_boundary_cells} boundary cells")

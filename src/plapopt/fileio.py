@@ -59,16 +59,24 @@ def atomic_write_text(path, text):
         raise
 
 
-def _numpy_scalar(obj):
-    """``json.dumps`` default: a numpy scalar as its Python value."""
+def _plain(obj):
+    """``obj`` with numpy scalars as Python values and non-finite floats
+    as None, which JSON (RFC 8259) can write: it has no Infinity or NaN."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 def write_json(path, obj):
-    """JSON with sorted keys; numpy scalars are written as Python numbers."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_numpy_scalar)
+    """JSON with sorted keys; numpy scalars are written as Python numbers
+    and non-finite floats as null."""
+    text = json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False)
     atomic_write_text(path, text + "\n")
 
 
@@ -122,14 +130,10 @@ def read_mesh(path) -> DomainMesh:
             raise ValueError("token count mismatch")
     except ValueError as exc:
         raise MeshFormatError(f"{path}: malformed mesh file ({exc})") from exc
-    for what, idx in (("triangle", triangles), ("boundary loop", loop)):
-        bad = idx[(idx < 0) | (idx >= n_v)]
-        if bad.size:
-            raise MeshFormatError(
-                f"{path}: {what} names vertex {bad[0]}, "
-                f"but the mesh has {n_v} vertices"
-            )
-    return DomainMesh(vertices, triangles, loop)
+    try:
+        return DomainMesh(vertices, triangles, loop)
+    except ValueError as exc:  # a structural rule the arrays break
+        raise MeshFormatError(f"mesh {os.fspath(path)!r} is invalid: {exc}") from exc
 
 
 def write_load(path, f: LoadField):

@@ -1,10 +1,15 @@
 """Planar triangle meshes with an ordered, equal-arclength boundary loop.
 
-The boundary of every mesh produced here is a single closed polyline split
+A ``DomainMesh`` is valid by construction: it raises ``ValueError``
+naming the first structural rule its arrays break (indices in range,
+finite coordinates, no vertex outside the triangles, positive finite
+triangle areas, one counter-clockwise cycle through the boundary edges).
+
+The boundary of every mesh built here is a single closed polyline split
 into cells of identical arclength. Equal cells make rearrangements of
 piecewise-constant boundary data plain permutations of cell values, which
 the rearrangement and optimizer modules rely on; ``unequal_cell`` states
-the rule.
+the rule, which a valid mesh need not meet.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +21,6 @@ __all__ = [
     "build_disk_mesh",
     "build_square_mesh",
     "unequal_cell",
-    "validate_mesh",
 ]
 
 EQUAL_WEIGHT_RTOL = 1e-12
@@ -34,7 +38,12 @@ class DomainMesh:
 
     ``DomainMesh(vertices, triangles, boundary_loop)`` derives every
     boundary cell quantity from these three arrays, once, so no stored
-    value can disagree with the coordinates.
+    value can disagree with the coordinates. It raises ``ValueError``
+    naming the first rule broken, in this order: every index lies in
+    [0, n_v); coordinates are finite; every vertex lies in a triangle;
+    signed areas are positive and finite; the loop is non-empty; no edge
+    lies in more than two triangles; the loop is one cycle, through
+    exactly the edges that lie in one triangle, counter-clockwise.
 
     Attributes
     ----------
@@ -65,12 +74,16 @@ class DomainMesh:
 
     def __post_init__(self):
         vertices = np.asarray(self.vertices, dtype=float)
+        triangles = np.asarray(self.triangles, dtype=np.int64)
         loop = np.asarray(self.boundary_loop, dtype=np.int64)
+        broken = _broken_rule(vertices, triangles, loop)
+        if broken:
+            raise ValueError(broken)
         edges = vertices[np.roll(loop, -1)] - vertices[loop]
         weights = np.hypot(edges[:, 0], edges[:, 1])
         derived = {
             "vertices": vertices,
-            "triangles": np.asarray(self.triangles, dtype=np.int64),
+            "triangles": triangles,
             "boundary_loop": loop,
             "boundary_weights": weights,
             "boundary_tangents": edges / weights[:, None],
@@ -103,6 +116,57 @@ def triangle_signed_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def _broken_rule(vertices, triangles, loop):
+    """The first structural rule of ``DomainMesh`` that the arrays break,
+    described, or None."""
+    n_v = vertices.shape[0]
+    for what, idx in (("triangle", triangles), ("boundary loop", loop)):
+        bad = idx[(idx < 0) | (idx >= n_v)]
+        if bad.size:
+            return f"{what} names vertex {bad[0]}, but the mesh has {n_v} vertices"
+    bad = np.nonzero(~np.isfinite(vertices).all(axis=1))[0]
+    if bad.size:
+        return f"vertex {bad[0]} has a non-finite coordinate"
+    bad = np.nonzero(np.bincount(triangles.ravel(), minlength=n_v) == 0)[0]
+    if bad.size:
+        return f"vertex {bad[0]} belongs to no triangle"
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates
+        areas = triangle_signed_areas(vertices, triangles)
+    bad = np.nonzero(~((areas > 0) & (areas < np.inf)))[0]
+    if bad.size:
+        return (f"triangle {bad[0]} has signed area {areas[bad[0]]:.3e}, "
+                "not positive and finite")
+    if loop.size == 0:
+        return "boundary loop is empty"
+
+    # each undirected edge (a, b), a < b, as the key a * n_v + b
+    a, b = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    keys, counts = np.unique(np.minimum(a, b) * n_v + np.maximum(a, b),
+                             return_counts=True)
+    if counts.max() > 2:
+        k = np.argmax(counts)
+        return f"edge {divmod(int(keys[k]), n_v)} belongs to {counts[k]} triangles"
+    if np.unique(loop).size != loop.size:
+        return "boundary loop revisits a vertex (not a single cycle)"
+    nxt = np.roll(loop, -1)
+    loop_keys = np.minimum(loop, nxt) * n_v + np.maximum(loop, nxt)
+    boundary_keys = keys[counts == 1]
+    extra = np.setdiff1d(loop_keys, boundary_keys)
+    if extra.size:
+        return f"loop edge {divmod(int(extra[0]), n_v)} not a boundary edge"
+    missing = np.setdiff1d(boundary_keys, loop_keys)
+    if missing.size:
+        return f"boundary edge {divmod(int(missing[0]), n_v)} missing from loop"
+
+    # Counter-clockwise loop: the shoelace area of a simple polygon is
+    # positive exactly when it is traversed counter-clockwise.
+    p, q = vertices[loop], vertices[nxt]
+    area = 0.5 * float(np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))
+    if area <= 0:
+        return f"boundary loop is not counter-clockwise (signed area {area:.3e})"
+    return None
+
+
 def build_disk_mesh(radius, n_boundary, n_radial):
     """Structured triangulation of a disk centered at the origin.
 
@@ -117,8 +181,8 @@ def build_disk_mesh(radius, n_boundary, n_radial):
     n_boundary : int, >= 8, points per ring (= boundary cells)
     n_radial : int, >= 2, number of rings
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if n_boundary < 8:
         raise ValueError(f"n_boundary must be >= 8, got {n_boundary}")
     if n_radial < 2:
@@ -149,9 +213,7 @@ def build_disk_mesh(radius, n_boundary, n_radial):
     triangles = np.array(tris, dtype=np.int64)
 
     loop = np.array([ring_idx(m, j) for j in range(n)], dtype=np.int64)
-    mesh = DomainMesh(vertices, triangles, loop)
-    assert triangle_signed_areas(mesh.vertices, mesh.triangles).min() > 0
-    return mesh
+    return DomainMesh(vertices, triangles, loop)
 
 
 def build_square_mesh(side, n_per_side):
@@ -159,8 +221,8 @@ def build_square_mesh(side, n_per_side):
 
     Produces ``4 * n_per_side`` boundary cells of length ``side / n``.
     """
-    if side <= 0:
-        raise ValueError(f"side must be positive, got {side}")
+    if not 0 < side < np.inf:
+        raise ValueError(f"side must be positive and finite, got {side}")
     if n_per_side < 2:
         raise ValueError(f"n_per_side must be >= 2, got {n_per_side}")
 
@@ -187,19 +249,15 @@ def build_square_mesh(side, n_per_side):
         + [vid(n - i, n) for i in range(n)]
         + [vid(0, n - j) for j in range(n)]
     )
-    mesh = DomainMesh(vertices, triangles, np.array(loop))
-    assert triangle_signed_areas(mesh.vertices, mesh.triangles).min() > 0
-    return mesh
+    return DomainMesh(vertices, triangles, np.array(loop))
 
 
 def unequal_cell(mesh: DomainMesh):
     """The equal-cell rule: every boundary cell has the arclength L / n_b
     of an equal split of the boundary length L, to relative
     EQUAL_WEIGHT_RTOL. Returns a description of the first cell that
-    breaks it, or None; a boundary of no cells has no such split."""
+    breaks it, or None."""
     lengths = mesh.boundary_weights
-    if lengths.size == 0:
-        return "boundary loop is empty"
     target = mesh.total_boundary_length / lengths.size
     rel = np.abs(lengths - target) / target
     bad = np.nonzero(rel > EQUAL_WEIGHT_RTOL)[0]
@@ -209,60 +267,3 @@ def unequal_cell(mesh: DomainMesh):
             f"from equal-arclength value {target:.16g} (rel {rel[bad[0]]:.2e})"
         )
     return None
-
-
-def validate_mesh(mesh: DomainMesh) -> list:
-    """Check every structural invariant of a DomainMesh.
-
-    Returns the list of violations, each a description (an empty list
-    means valid), rather than raising, so constructed negative cases can
-    be inspected.
-    """
-    v = []
-
-    areas = triangle_signed_areas(mesh.vertices, mesh.triangles)
-    bad = np.nonzero(areas <= 0)[0]
-    if bad.size:
-        v.append(f"triangle {bad[0]} has non-positive signed area {areas[bad[0]]:.3e}")
-
-    # Boundary edges (from triangles): edges appearing in exactly one triangle.
-    tri = mesh.triangles
-    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    keys = np.sort(edges, axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    tri_boundary = {tuple(e) for e in uniq[counts == 1]}
-    over = uniq[counts > 2]
-    if over.size:
-        v.append(f"edge {tuple(over[0])} belongs to {counts.max()} triangles")
-
-    loop = mesh.boundary_loop
-    n_b = loop.size
-    if n_b == 0:  # the checks below need boundary cells
-        v.append("boundary loop is empty")
-        return v
-    if np.unique(loop).size != n_b:
-        v.append("boundary loop revisits a vertex (not a single cycle)")
-    loop_edges = {
-        tuple(sorted((int(loop[c]), int(loop[(c + 1) % n_b])))) for c in range(n_b)
-    }
-    if loop_edges != tri_boundary:
-        missing = tri_boundary - loop_edges
-        extra = loop_edges - tri_boundary
-        if missing:
-            v.append(f"boundary edge {next(iter(missing))} missing from loop")
-        if extra:
-            v.append(f"loop edge {next(iter(extra))} not a boundary edge")
-
-    unequal = unequal_cell(mesh)
-    if unequal:
-        v.append(unequal)
-
-    # Counter-clockwise loop: the shoelace area of a simple polygon is
-    # positive exactly when it is traversed counter-clockwise.
-    a = mesh.vertices[loop]
-    b = mesh.vertices[np.roll(loop, -1)]
-    area = 0.5 * float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
-    if area <= 0:
-        v.append(f"boundary loop is not counter-clockwise (signed area {area:.3e})")
-
-    return v

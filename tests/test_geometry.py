@@ -9,7 +9,6 @@ from plapopt.geometry import (
     build_square_mesh,
     triangle_signed_areas,
     unequal_cell,
-    validate_mesh,
 )
 
 
@@ -74,7 +73,8 @@ class TestDiskMesh:
         assert np.array_equal(copy.boundary_loop, mesh.boundary_loop)
 
     @pytest.mark.parametrize(
-        "radius,n,m", [(0.0, 64, 10), (-1.0, 64, 10), (1.0, 7, 10), (1.0, 64, 1)]
+        "radius,n,m", [(0.0, 64, 10), (-1.0, 64, 10), (np.nan, 64, 10),
+                       (np.inf, 64, 10), (1e200, 64, 10), (1.0, 7, 10), (1.0, 64, 1)]
     )
     def test_parameter_validation(self, radius, n, m):
         with pytest.raises(ValueError):
@@ -99,23 +99,91 @@ class TestSquareMesh:
         assert np.allclose(mesh.boundary_weights, 1.0, rtol=1e-14)
 
     def test_valid(self):
-        assert validate_mesh(build_square_mesh(2.0, 5)) == []
+        mesh = build_square_mesh(2.0, 5)
+        DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop)
+        assert unequal_cell(mesh) is None
+
+    @pytest.mark.parametrize("side", [np.nan, np.inf])
+    def test_nonfinite_side_rejected(self, side):
+        with pytest.raises(ValueError, match=f"side must be positive and finite, got {side}"):
+            build_square_mesh(side, 4)
 
 
 class TestValidateMesh:
+    """A DomainMesh is valid by construction: it raises ValueError naming
+    the first structural rule its arrays break."""
+
     def test_valid_disk_mesh(self):
-        violations = validate_mesh(build_disk_mesh(1.0, 32, 4))
-        assert type(violations) is list
-        assert violations == []
+        mesh = build_disk_mesh(1.0, 32, 4)
+        DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop)
+        assert unequal_cell(mesh) is None
 
     def test_flipped_triangle_detected(self):
         mesh = build_disk_mesh(1.0, 16, 3)
         tris = np.array(mesh.triangles)
         tris[5] = tris[5][::-1]
-        bad = DomainMesh(mesh.vertices, tris, mesh.boundary_loop)
-        violations = validate_mesh(bad)
-        assert violations
-        assert any("triangle 5" in v for v in violations)
+        with pytest.raises(ValueError, match="triangle 5 has signed area .*, not positive"):
+            DomainMesh(mesh.vertices, tris, mesh.boundary_loop)
+
+    @pytest.mark.parametrize("build", [lambda: build_square_mesh(1e160, 4),
+                                       lambda: build_disk_mesh(1e160, 16, 2)],
+                             ids=["square", "disk"])
+    def test_overflowing_area_detected(self, build):
+        # finite coordinates whose cross products overflow to inf (and,
+        # on the disk, to inf - inf = nan), without a RuntimeWarning
+        with pytest.raises(ValueError, match="signed area inf, not positive and finite"):
+            build()
+
+    @pytest.mark.parametrize("part, index", [("loop", 999), ("loop", -1),
+                                             ("triangle", 49)])
+    def test_out_of_range_index_detected(self, part, index):
+        mesh = build_disk_mesh(1.0, 16, 3)
+        tris, loop = np.array(mesh.triangles), np.array(mesh.boundary_loop)
+        (loop if part == "loop" else tris[0])[0] = index
+        with pytest.raises(ValueError, match=f"names vertex {index}, but the mesh has 49"):
+            DomainMesh(mesh.vertices, tris, loop)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_coordinate_detected(self, value):
+        mesh = build_disk_mesh(1.0, 16, 3)
+        verts = np.array(mesh.vertices)
+        verts[4, 1] = value
+        with pytest.raises(ValueError, match="vertex 4 has a non-finite coordinate"):
+            DomainMesh(verts, mesh.triangles, mesh.boundary_loop)
+
+    def test_vertex_in_no_triangle_detected(self):
+        mesh = build_disk_mesh(1.0, 16, 3)
+        verts = np.vstack([mesh.vertices, [[0.1, 0.1]]])
+        with pytest.raises(ValueError, match="vertex 49 belongs to no triangle"):
+            DomainMesh(verts, mesh.triangles, mesh.boundary_loop)
+
+    def test_edge_in_three_triangles_detected(self):
+        # three triangles above the edge (0, 1), each counter-clockwise
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]]
+        tris = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) belongs to 3 triangles"):
+            DomainMesh(verts, tris, [0, 1, 4])
+
+    def test_revisited_loop_vertex_detected(self):
+        mesh = build_disk_mesh(1.0, 16, 3)
+        loop = np.array(mesh.boundary_loop)
+        loop[3] = loop[5]
+        with pytest.raises(ValueError, match="revisits a vertex"):
+            DomainMesh(mesh.vertices, mesh.triangles, loop)
+
+    def test_loop_edge_off_the_boundary_detected(self):
+        # the loop cuts inside through vertex 20 of the second ring
+        mesh = build_disk_mesh(1.0, 16, 3)
+        loop = np.array(mesh.boundary_loop)
+        loop[4] = 20
+        with pytest.raises(ValueError, match="loop edge .* not a boundary edge"):
+            DomainMesh(mesh.vertices, mesh.triangles, loop)
+
+    def test_boundary_edge_off_the_loop_detected(self):
+        # two separate triangles, a loop round only the first
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
+        with pytest.raises(ValueError, match=r"boundary edge \(3, 4\) missing from loop"):
+            DomainMesh(verts, [[0, 1, 2], [3, 4, 5]], [0, 1, 2])
 
     def test_unequal_boundary_cells_detected(self):
         mesh = build_disk_mesh(1.0, 16, 3)
@@ -124,9 +192,7 @@ class TestValidateMesh:
         i = mesh.boundary_loop[4]
         verts[i] = 0.6 * verts[i] + 0.4 * verts[mesh.boundary_loop[5]]
         bad = DomainMesh(verts, mesh.triangles, mesh.boundary_loop)
-        violations = validate_mesh(bad)
-        assert violations
-        assert any("equal-arclength" in v for v in violations)
+        assert "equal-arclength" in unequal_cell(bad)
 
     def test_frame_orthonormal(self):
         mesh = build_disk_mesh(1.0, 32, 4)
@@ -145,17 +211,15 @@ class TestValidateMesh:
         # a triangle whose loop lists no vertex, and a mesh of nothing
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:n_vertices]
         triangles = np.arange(n_vertices).reshape(-1, 3)
-        bad = DomainMesh(vertices, triangles, np.zeros(0, dtype=np.int64))
-        assert unequal_cell(bad) == "boundary loop is empty"
-        assert validate_mesh(bad) == ["boundary loop is empty"]
+        with pytest.raises(ValueError, match="^boundary loop is empty$"):
+            DomainMesh(vertices, triangles, np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("mesh", [build_disk_mesh(1.0, 16, 3),
                                       build_square_mesh(1.0, 4)],
                              ids=["disk", "square"])
     def test_clockwise_loop_detected(self, mesh):
-        bad = DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop[::-1])
-        violations = validate_mesh(bad)
-        assert len(violations) == 1 and "not counter-clockwise" in violations[0]
+        with pytest.raises(ValueError, match="^boundary loop is not counter-clockwise"):
+            DomainMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop[::-1])
 
     def test_mesh_immutable(self):
         mesh = build_disk_mesh(1.0, 16, 3)
