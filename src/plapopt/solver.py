@@ -92,11 +92,29 @@ eta chosen by Eisenstat-Walker forcing
 terms (choice 2: eta shrinks with the square of the residual reduction,
 so the last steps stay quadratic; see Eisenstat & Walker, "Choosing the
 forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
-1996). When CG misses eta within CG_MAX_ITERS iterations, the current
-Hessian is factored afresh, solved directly and kept in place of the old
-factor. Below PCG_MIN_VERTICES a factorization is as cheap as a few CG
-iterations, and every step of a solve that holds no factor (every solve
-there) is a direct ``spsolve``. There the space holds its gradient and quadrature
+1996). In a last-rung stage eta is floored at 0.5 tol / ||r||, capped at
+ETA_MAX (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+SIAM 1995, eq. 6.20): no step solves more accurately than the stop at
+tol needs. Intermediate stages keep plain Eisenstat-Walker terms, since
+the rung-skip rule reads their over-solving; flooring them as well
+(without the give-up below) cost the benchmark's ``derivative`` p = 1.5
+pass 6 more Newton steps and 71 more CG iterations. CG gives up once it
+cannot finish: from its third iteration on, as soon as its mean
+contraction so far, (||res_k|| / ||rhs||)^{1/k}, would need more than
+CG_MAX_ITERS + 2 iterations in all to reach eta. Then, as when CG misses
+eta within CG_MAX_ITERS iterations, the current Hessian is factored
+afresh, solved directly and kept in place of the old factor. On the
+benchmark's seed-7 task lists the two rules took the four cold p = 3
+solves of ``cold-solve`` (2561-vertex disk) from 106 CG iterations and 4
+factorizations to 90 and 2, and the ``optimize`` pass from 2419 CG
+iterations and 35 factorizations to 1702 and 38 at p = 1.5, from 1333
+and 32 to 1157 and 28 at p = 3; Newton steps moved by at most 6. The
+floor alone gives most of the ``cold-solve`` gain (101 CG iterations, 2
+factorizations), the give-up most of the ``optimize`` one (1717 CG
+iterations at p = 1.5). Below PCG_MIN_VERTICES a factorization is as
+cheap as a few CG iterations, and every step of a solve that holds no
+factor (every solve there) is a direct ``spsolve``.
+There the space holds its gradient and quadrature
 operators dense (see ``fem``), but the Hessian
 stays CSC and the step stays ``spsolve``: a dense Hessian solved by
 ``np.linalg.solve`` would be cheaper still at that size, but the
@@ -180,8 +198,13 @@ WARM_WINDOW, WARM_CONTRACTION = 3, 0.75
 # in ``fem``, which holds a small mesh's operators dense) every step of a
 # solve that holds no factor is a direct ``spsolve``. Otherwise CG
 # preconditioned by a kept factor solves each step to the forcing term eta
-# (at most ETA_MAX) and refactors when CG_MAX_ITERS iterations do not
-# reach it.
+# (at most ETA_MAX; at least 0.5 tol / ||r||, capped at ETA_MAX, in a
+# last-rung stage) and refactors when CG_MAX_ITERS iterations do not reach
+# it, or as soon as, from the third iteration on, its mean contraction so
+# far would need more than CG_MAX_ITERS + 2 iterations in all. Without
+# the give-up, every refactor followed CG_MAX_ITERS wasted iterations: 350
+# of the 2419 of a seed-7 ``optimize`` pass at p = 1.5, which now takes
+# 1702 (see the module docstring).
 ETA_MAX = 0.1
 CG_MAX_ITERS = 10
 
@@ -300,11 +323,17 @@ def _pcg(H, rhs, lu, rtol):
     """CG on H x = rhs from x = 0, preconditioned by the LU factor ``lu``.
 
     Returns (x, iterations) once the residual norm is at most rtol times
-    ||rhs||, or (None, CG_MAX_ITERS) if CG_MAX_ITERS iterations do not get
-    there (non-finite values never do)."""
+    ||rhs||, or (None, iterations) once CG cannot get there: after
+    CG_MAX_ITERS iterations (non-finite values never get there), or from
+    the third iteration on as soon as the mean contraction so far,
+    (||res_k|| / ||rhs||)^{1/k} < 1, would need more than
+    CG_MAX_ITERS + 2 iterations in all. A residual norm that has not
+    fallen below ||rhs|| predicts nothing: CG minimizes the error's
+    H-norm, and the residual's 2-norm need not fall monotonically."""
     x = np.zeros_like(rhs)
     res = rhs.copy()
-    tol = rtol * np.linalg.norm(rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    tol = rtol * rhs_norm
     d = rz_old = None
     for k in range(CG_MAX_ITERS):
         z = lu.solve(res)
@@ -314,8 +343,13 @@ def _pcg(H, rhs, lu, rtol):
         alpha = rz / (d @ Hd)
         x += alpha * d
         res -= alpha * Hd
-        if np.linalg.norm(res) <= tol:
+        rnorm = np.linalg.norm(res)
+        if rnorm <= tol:
             return x, k + 1
+        # the mean contraction so far, ratio^{1/(k+1)}, could not finish
+        ratio = rnorm / rhs_norm
+        if k >= 2 and ratio < 1.0 and ratio ** ((CG_MAX_ITERS + 2) / (k + 1)) > rtol:
+            return None, k + 1
         rz_old = rz
     return None, CG_MAX_ITERS
 
@@ -358,8 +392,9 @@ class _NewtonSystems:
 def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
     """Damped inexact Newton at fixed eps for at most MAX_NEWTON_ITERS
     steps, from u; ``systems`` solves each step to the forcing term's
-    tolerance. A ``final`` stage stops at the residual norm ``tol``, any
-    other at its reduction target (see STAGE_REDUCTION); a non-finite
+    tolerance, floored at 0.5 tol / ||r|| in a ``final`` stage. A
+    ``final`` stage stops at the residual norm ``tol``, any other at its
+    reduction target (see STAGE_REDUCTION); a non-finite
     starting residual has no reduction target, so such a stage too aims
     at ``tol``. A ``warm`` stage also stops once it no longer contracts
     the residual (see WARM_WINDOW).
@@ -410,6 +445,9 @@ def _newton_stage(space, u, b, p, eps, systems, final, warm, tol):
         # max(eta, 0.9 eta_old^2) applies only while 0.9 eta_old^2 > 0.1,
         # which ETA_MAX = 0.1 rules out.
         eta = min(ETA_MAX, 0.9 * (rnorm / rnorms[-2]) ** 2)
+        if final:
+            # Kelley's floor: no more accuracy than the stop at tol needs
+            eta = min(ETA_MAX, max(eta, 0.5 * tol / rnorm))
     reason = "converged" if rnorm <= tol else "cap"
     return u, MAX_NEWTON_ITERS, rnorms[0], rnorm, reason
 
@@ -439,13 +477,16 @@ def solve(mesh, f, config: SolveConfig, u_init=None, *, tol=NEWTON_TOL):
 
     The stage at the last rung stops once the residual norm is at most
     ``tol``; the optimizer passes a looser one for its intermediate
-    iterates (see ``optimizer``).
+    iterates (see ``optimizer``). A ``tol`` that is not positive and
+    finite raises ValueError before any work.
 
     Returns (StateField, SolveReport). The state carries the factor this
     solve kept; the report carries the functionals J and I and their gap.
     ``converged`` means the last stage met the ``tol`` it was given. On
     non-convergence the partial state is still returned.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     space = P1Space.of(mesh)
     b = _load_vector(mesh, f)
     p = config.p

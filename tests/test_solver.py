@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 from scipy.special import iv
 
 from plapopt import fem, solver
@@ -67,6 +68,26 @@ def assert_ladder(eps_stages):
     assert all(b < a for a, b in zip(eps_stages, eps_stages[1:]))
 
 
+def spy_stage_residual_norms(monkeypatch):
+    """A list that gets, for each Newton stage a solve runs, the list of
+    the residual norms the stage computes: its start's and each accepted
+    step's."""
+    norms, newton_stage, residual = [], solver._newton_stage, P1Space.residual
+
+    def stage_spy(*args):
+        norms.append([])
+        return newton_stage(*args)
+
+    def residual_spy(self, *args):
+        r = residual(self, *args)
+        norms[-1].append(np.linalg.norm(r))
+        return r
+
+    monkeypatch.setattr(solver, "_newton_stage", stage_spy)
+    monkeypatch.setattr(P1Space, "residual", residual_spy)
+    return norms
+
+
 def miss_the_ray_stage(monkeypatch):
     """A warm monitor that no step can satisfy: a cold solve above p = 2
     leaves its ray stage after one step as "slow" and runs the ladder
@@ -87,6 +108,12 @@ def small_disk():
     mesh = build_disk_mesh(1.0, 8, 2)
     assert isinstance(P1Space.of(mesh).G, np.ndarray)
     return mesh
+
+
+@pytest.fixture(scope="module")
+def big_disk():
+    """The 2561-vertex disk of criterion 7 and the benchmark's solves."""
+    return build_disk_mesh(1.0, 128, 20)
 
 
 @pytest.fixture(scope="module")
@@ -594,6 +621,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolveConfig(p=11.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_tol_refused_before_any_work(self, tol, monkeypatch):
+        # on the 49-vertex disk at p = 1.5 with a constant load, nan ran
+        # every rung to the Newton cap, inf returned the start as
+        # converged, and 0 and -1 capped at the last rung
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(solver, "_newton_stage", no_stage)
+        mesh = build_disk_mesh(1.0, 16, 3)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve(mesh, LoadField.constant(mesh, 1.0), SolveConfig(p=1.5), tol=tol)
+
     def test_p_is_the_only_setting(self):
         # eps is the solver's own ladder, not a setting of a solve
         assert [f.name for f in dataclasses.fields(SolveConfig)] == ["p"]
@@ -791,6 +831,84 @@ class TestNewtonSystems:
         assert rep.cg_iterations == 0
         assert rep.J == pytest.approx(direct.J, rel=1e-13)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_forcing_term_floored_on_the_last_rung_alone(self, disk, p, monkeypatch):
+        # every CG solve of a last-rung stage gets at least
+        # min(ETA_MAX, 0.5 tol / ||r||), and somewhere more than the plain
+        # Eisenstat-Walker term; an intermediate stage gets exactly that
+        # term, ETA_MAX at its first step
+        stages, newton_stage, pcg = [], solver._newton_stage, solver._pcg
+
+        def stage_spy(space, u, b, p, eps, systems, final, warm, tol):
+            stages.append((final, []))
+            return newton_stage(space, u, b, p, eps, systems, final, warm, tol)
+
+        def pcg_spy(H, rhs, lu, rtol):
+            stages[-1][1].append((rtol, np.linalg.norm(rhs)))
+            return pcg(H, rhs, lu, rtol)
+
+        monkeypatch.setattr(solver, "_newton_stage", stage_spy)
+        monkeypatch.setattr(solver, "_pcg", pcg_spy)
+        _, rep = solve(disk, step_load(disk, STEP_LEVELS), SolveConfig(p=p))
+        assert rep.converged
+        assert [final for final, _ in stages] == [
+            eps == EPS_STAGES[-1] for eps in rep.eps_stages]
+        floored = 0
+        for final, calls in stages:
+            rtols, norms = (list(c) for c in zip(*calls))
+            plain = [solver.ETA_MAX] + [min(solver.ETA_MAX, 0.9 * (b / a) ** 2)
+                                        for a, b in zip(norms, norms[1:])]
+            if not final:
+                assert rtols == plain
+                continue
+            for rtol, rnorm in calls:
+                assert rtol >= min(solver.ETA_MAX, 0.5 * NEWTON_TOL / rnorm)
+            floored += sum(r > e for r, e in zip(rtols, plain))
+        assert floored > 0
+
+    def test_pcg_gives_up_once_it_cannot_finish(self, big_disk):
+        # the p = 3 Hessian at the solution of criterion 1's step load on
+        # the 128x20 disk, preconditioned by the K + M factor: CG contracts
+        # too slowly for rtol = 1e-3 and gives up after 4 iterations
+        # (it ran all CG_MAX_ITERS before), meets rtol = 0.1 in 5, and on
+        # the Hessian's own factor needs one
+        space = P1Space.of(big_disk)
+        state, _ = solve(big_disk, step_load(big_disk, STEP_LEVELS), SolveConfig(p=3.0))
+        H = space.hessian(state.nodal_values, 3.0, EPS_STAGES[-1])
+        rhs = np.random.default_rng(0).normal(size=big_disk.n_vertices)
+        lu = space.stiffness_mass_factor()
+        x, its = solver._pcg(H, rhs, lu, 1e-3)
+        assert x is None and its < solver.CG_MAX_ITERS
+        x, its = solver._pcg(H, rhs, lu, 0.1)
+        assert its == 5
+        assert np.linalg.norm(rhs - H @ x) <= 0.1 * np.linalg.norm(rhs)
+        own = splu(H, permc_spec="MMD_AT_PLUS_A")
+        x, its = solver._pcg(H, rhs, own, 1e-3)
+        assert its == 1
+        assert np.linalg.norm(rhs - H @ x) <= 1e-3 * np.linalg.norm(rhs)
+
+    def test_cold_solve_benchmark_loads_factor_at_most_twice(self, big_disk):
+        # the four loads of the benchmark's cold-solve workload at seed 7
+        # (random step loads spread over |mean load| with the duality
+        # criterion's seed, then turned along the boundary) at p = 3: each
+        # solve refactored once after a failed CG solve, two of them in
+        # the last Newton step (4 factorizations, 106 CG iterations in all)
+        n = big_disk.n_boundary_cells
+        rng = np.random.default_rng(20240601)
+        pool = sorted((random_step_load(big_disk, rng) for _ in range(512)),
+                      key=lambda f: abs(f.cell_values.mean()))
+        turns = np.random.default_rng(7)
+        factorizations = cg_iterations = 0
+        for i in range(4):
+            f = LoadField(np.roll(pool[int((i + 0.5) * 128)].cell_values,
+                                  turns.integers(n)))
+            _, rep = solve(big_disk, f, SolveConfig(p=3.0))
+            assert rep.converged
+            factorizations += rep.factorizations
+            cg_iterations += rep.cg_iterations
+        assert factorizations <= 2
+        assert cg_iterations <= 95
+
     @pytest.mark.parametrize("n", [solver.PCG_MIN_VERTICES - 1, solver.PCG_MIN_VERTICES])
     def test_singular_system_gives_no_direction(self, n):
         # spsolve (below PCG_MIN_VERTICES) returns NaN and splu raises;
@@ -923,20 +1041,26 @@ class TestWarmStart:
         assert rep.stage_exits[1:] == ["converged"] * (len(rep.eps_stages) - 1)
         assert abs(rep.J - cold.J) <= 1e-6 * (1.0 + abs(cold.J))
 
-    def test_far_start_leaves_after_one_window(self, disk):
+    def test_far_start_leaves_after_one_window(self, disk, monkeypatch):
         # at p = 1.5 the state of the load turned half-way round the
         # boundary is no start for Newton at the last rung: the stage
-        # stops contracting and leaves as "slow" after WARM_WINDOW steps,
-        # not at a budget, and the ladder reaches the cold J
+        # stops contracting and leaves as "slow" at the first step k >=
+        # WARM_WINDOW whose residual norm is above WARM_CONTRACTION times
+        # the norm WARM_WINDOW steps earlier, not at a budget, and the
+        # ladder reaches the cold J
         f = step_load(disk, STEP_LEVELS)
         half = LoadField(np.roll(f.cell_values, disk.n_boundary_cells // 2))
         cfg = SolveConfig(p=1.5)
         far, _ = solve(disk, half, cfg)
         _, cold = solve(disk, f, cfg)
+        norms = spy_stage_residual_norms(monkeypatch)
         _, rep = solve(disk, f, cfg, u_init=far)
         assert rep.converged
         assert rep.stage_exits[0] == "slow"
-        assert rep.iterations_per_stage[0] == solver.WARM_WINDOW == 3
+        warm, k = norms[0], rep.iterations_per_stage[0]
+        assert len(warm) == k + 1 and k >= solver.WARM_WINDOW
+        w, c = solver.WARM_WINDOW, solver.WARM_CONTRACTION
+        assert [j for j in range(w, k + 1) if warm[j] > c * warm[j - w]] == [k]
         assert rep.eps_stages[0] == EPS_STAGES[-1]
         assert_ladder(rep.eps_stages[1:])
         assert rep.stage_exits[1:] == ["converged"] * (len(rep.eps_stages) - 1)
