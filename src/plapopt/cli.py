@@ -2,10 +2,11 @@
 
 Subcommands: ``mesh``, ``solve``, ``optimize``, ``derivative``, ``suite``.
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 acceptance failure. Outputs are written atomically; JSON reports carry
-a config echo, the mesh file hash, the tool version and the seed, and CSV
-numbers use a fixed 17-significant-digit format so reruns are
-byte-identical.
+4 acceptance failure. ``solve`` writes its report, then exits 3 when the
+solve did not converge or its duality gap exceeds 1e-6 (1 + |J|).
+Outputs are written atomically; JSON reports carry a config echo, the
+mesh file hash, the tool version and the seed, and CSV numbers use a
+fixed 17-significant-digit format so reruns are byte-identical.
 
 The environment variable PLAPOPT_OUT supplies the default output
 directory for subcommands that take ``--out``.
@@ -17,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .acceptance import run_criteria
+from .acceptance import GAP_RTOL, gap_over_tol, run_criteria
 from .fileio import (
     file_sha256,
     read_load,
@@ -160,8 +161,11 @@ def cmd_solve(args):
     write_json(out, payload)
     print(f"wrote {out}: J={rep.J:.9g} gap={rep.duality_gap:.3g}")
     if not rep.converged:
-        print("solver did not converge", file=sys.stderr)
-        return EXIT_SOLVER
+        raise SolverError(f"solve did not converge: its last stage ended as "
+                          f"{rep.stage_exits[-1]!r} at residual {rep.final_residual:.3e}")
+    if gap_over_tol(rep) > 1.0:
+        raise SolverError(f"duality gap {rep.duality_gap:.3g} exceeds {GAP_RTOL:g} (1 + |J|)"
+                          f" = {GAP_RTOL * (1.0 + abs(rep.J)):.3g}")
     return EXIT_OK
 
 

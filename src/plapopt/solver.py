@@ -323,8 +323,8 @@ def _pcg(H, rhs, lu, rtol):
     """CG on H x = rhs from x = 0, preconditioned by the LU factor ``lu``.
 
     Returns (x, iterations) once the residual norm is at most rtol times
-    ||rhs||, or (None, iterations) once CG cannot get there: after
-    CG_MAX_ITERS iterations (non-finite values never get there), or from
+    ||rhs||, or (None, iterations) once CG cannot get there: at once on a
+    non-finite residual norm, after CG_MAX_ITERS iterations, or from
     the third iteration on as soon as the mean contraction so far,
     (||res_k|| / ||rhs||)^{1/k} < 1, would need more than
     CG_MAX_ITERS + 2 iterations in all. A residual norm that has not
@@ -344,6 +344,8 @@ def _pcg(H, rhs, lu, rtol):
         x += alpha * d
         res -= alpha * Hd
         rnorm = np.linalg.norm(res)
+        if not np.isfinite(rnorm):
+            return None, k + 1
         if rnorm <= tol:
             return x, k + 1
         # the mean contraction so far, ratio^{1/(k+1)}, could not finish

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import iv
 
 from plapopt import acceptance
+from plapopt.solver import SolveReport
 
 from oracles import radial_trace
 
@@ -45,6 +46,37 @@ class TestNumbering:
     def test_selection_by_number(self):
         results = acceptance.run_criteria({4, 10}, echo=None)
         assert [r.number for r in results] == [4, 10]
+
+
+class TestVerdict:
+    """gap_over_tol is the one solve check every criterion applies."""
+
+    @staticmethod
+    def _report(exit_, J, I):
+        return SolveReport(final_residual=0.0, iterations_per_stage=[1],
+                           eps_stages=[1e-8], stage_exits=[exit_], J=J, I=I)
+
+    def test_ratio_of_a_converged_report(self):
+        ratio = acceptance.gap_over_tol(self._report("converged", -3.0, -3.5))
+        assert ratio == 0.5 / (acceptance.GAP_RTOL * 4.0)
+
+    @pytest.mark.parametrize("exit_", ["cap", "stall"])
+    def test_unconverged_report_is_inf(self, exit_):
+        assert acceptance.gap_over_tol(self._report(exit_, 1.0, 1.0)) == np.inf
+
+    @pytest.mark.parametrize("number", [1, 2, 3, 6])
+    def test_unconverged_solves_fail_the_criterion(self, monkeypatch, number):
+        # each solve the criterion makes itself reads as unconverged; its
+        # J and trace are untouched, so only the verdict can fail it
+        solve = acceptance.solve
+
+        def unconverged(*args, **kwargs):
+            state, rep = solve(*args, **kwargs)
+            rep.stage_exits[-1] = "cap"
+            return state, rep
+
+        monkeypatch.setattr(acceptance, "solve", unconverged)
+        assert not _run(number).passed
 
 
 class TestAcceptanceCriteria:

@@ -63,6 +63,14 @@ def test_import_footprint():
     assert not loaded & {"scipy.interpolate", "scipy.optimize"}
 
 
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(plapopt.__file__).parent.parent
+    run = subprocess.run([sys.executable, "-m", "plapopt", "--version"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0
+    assert run.stdout.strip() == plapopt.__version__
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -209,6 +209,24 @@ class TestSolveCommand:
         rep = json.loads((workdir / "s.json").read_text(), parse_constant=refuse)
         assert rep["final_residual"] is None and rep["converged"] is False
 
+    def test_gap_over_its_bound_exits_3(self, workdir, mesh_file, load_file, capsys,
+                                        monkeypatch):
+        # a converged solve whose duality gap is twice 1e-6 (1 + |J|): the
+        # report is written, then main's SolverError handler exits 3
+        def wide_gap(mesh, f, config):
+            state, rep = solver.solve(mesh, f, config)
+            rep.I = rep.J - 2e-6 * (1.0 + abs(rep.J))
+            return state, rep
+
+        monkeypatch.setattr(cli, "solve", wide_gap)
+        rc = main(["solve", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2", "--out", "s.json"])
+        assert rc == EXIT_SOLVER
+        rep = json.loads((workdir / "s.json").read_text())
+        assert rep["converged"] is True
+        assert rep["duality_gap"] > 1e-6 * (1.0 + abs(rep["J"]))
+        assert capsys.readouterr().err.startswith("solver failure: duality gap")
+
     @pytest.mark.parametrize("text", ["MESH2D 3 1 0\n0 0\n1 0\n0 1\n0 1 2\n",
                                       "MESH2D 0 0 0\n"], ids=["triangle", "nothing"])
     def test_empty_boundary_loop_is_config_error(self, workdir, capsys, text):

@@ -764,14 +764,15 @@ class TestRayStart:
     def test_overflowing_load_keeps_the_ladder_report(self, disk):
         # s u2 overflows for a load of 1e200: no ray start, and the ladder
         # from 0 stalls after one step at its first rung, which ends the
-        # solve
+        # solve; CG stops at its first non-finite residual and the step's
+        # refactored Hessian gives no finite descent direction
         f = LoadField.constant(disk, 1e200)
         u, rep = solve(disk, f, SolveConfig(p=3.0))
         assert not rep.converged
         assert rep.eps_stages == [EPS_STAGES[0]]
         assert rep.stage_exits == ["stall"]
         assert rep.iterations_per_stage == [1]
-        assert (rep.factorizations, rep.cg_iterations, rep.gradient_fallbacks) == (1, 10, 0)
+        assert (rep.factorizations, rep.cg_iterations, rep.gradient_fallbacks) == (1, 1, 0)
         assert rep.J == 0.0 and rep.final_residual == np.inf
         assert np.all(u.nodal_values == 0.0)
 
@@ -886,6 +887,19 @@ class TestNewtonSystems:
         x, its = solver._pcg(H, rhs, own, 1e-3)
         assert its == 1
         assert np.linalg.norm(rhs - H @ x) <= 1e-3 * np.linalg.norm(rhs)
+
+    def test_pcg_stops_at_once_on_a_nonfinite_residual(self, disk):
+        # the constant 1e200 load at p = 3 against the first ladder stage's
+        # Hessian at u = 0: ||rhs|| overflows, so rz is inf and alpha NaN,
+        # and CG stops after that one iteration (it ran all CG_MAX_ITERS
+        # before)
+        space = P1Space.of(disk)
+        rhs = space.load_vector(np.full(disk.n_boundary_cells, 1e200))
+        H = space.hessian(np.zeros(disk.n_vertices), 3.0, EPS_STAGES[0])
+        with np.errstate(all="ignore"):
+            assert np.linalg.norm(rhs) == np.inf
+            x, its = solver._pcg(H, rhs, space.stiffness_mass_factor(), solver.ETA_MAX)
+        assert x is None and its == 1
 
     def test_cold_solve_benchmark_loads_factor_at_most_twice(self, big_disk):
         # the four loads of the benchmark's cold-solve workload at seed 7
