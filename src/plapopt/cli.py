@@ -7,13 +7,9 @@ solve did not converge or its duality gap exceeds 1e-6 (1 + |J|).
 Outputs are written atomically; JSON reports carry a config echo, the
 mesh file hash, the tool version and the seed, and CSV numbers use a
 fixed 17-significant-digit format so reruns are byte-identical.
-
-The environment variable PLAPOPT_OUT supplies the default output
-directory for subcommands that take ``--out``.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,67 +35,9 @@ EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def parse_config(path, actions):
-    """Load a JSON config file that overrides a subcommand's flags (their
-    argparse actions by destination).
-
-    Unknown keys are rejected and each value is converted by its flag's
-    ``type`` (``str`` if none), item by item where the flag takes a list,
-    and must be one of the flag's ``choices`` if it has any; then the
-    values meet the same checks as flag values (p range, existing paths).
-    """
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(cfg) - set(actions))
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown config keys {unknown}; allowed: {sorted(actions)}"
-        )
-    for key, value in cfg.items():
-        kind = actions[key].type or str
-        many = actions[key].nargs not in (None, "?")
-        items = value if many and isinstance(value, list) else [value]
-        try:
-            # a str flag takes only strings; int and float refuse "True", "None"
-            if many != isinstance(value, list) or (
-                    kind is str and not all(isinstance(v, str) for v in items)):
-                raise TypeError
-            items = [kind(str(v)) for v in items]
-        except (TypeError, ValueError):
-            name = kind.__name__
-            what = f"a list of {name}" if many else ("an int" if kind is int else f"a {name}")
-            raise ConfigError(f"{path}: {key} must be {what}, got {value!r}") from None
-        choices = actions[key].choices
-        bad = [v for v in items if choices is not None and v not in choices]
-        if bad:
-            raise ConfigError(f"{path}: {key} must be one of {list(choices)}, got {bad[0]!r}")
-        cfg[key] = items if many else items[0]
-    return cfg
-
-
-def _default_out(value, fallback):
-    if value is not None:
-        return value
-    env = os.environ.get("PLAPOPT_OUT")
-    return os.path.join(env, fallback) if env else fallback
-
-
 def _existing(path, key):
     if not os.path.exists(path):
-        raise ConfigError(f"{key} path {path!r} does not exist")
+        raise ValueError(f"{key} path {path!r} does not exist")
     return path
 
 
@@ -109,7 +47,7 @@ def _read_problem(args, load_key):
     mesh = read_mesh(_existing(args.mesh, "mesh"))
     unequal = unequal_cell(mesh)
     if unequal:
-        raise ConfigError(f"mesh {args.mesh!r} is invalid: {unequal}")
+        raise ValueError(f"mesh {args.mesh!r} is invalid: {unequal}")
     return mesh, read_load(_existing(getattr(args, load_key), load_key), mesh)
 
 
@@ -125,15 +63,14 @@ def _provenance(args, mesh_path=None, seed=None):
 
 
 def cmd_mesh(args):
-    out = _default_out(args.out, "mesh.txt")
     if args.shape == "disk":
         n_radial = (max(2, round(args.n / 6.4)) if args.n_radial is None
                     else args.n_radial)
         mesh = build_disk_mesh(args.radius, args.n, n_radial)
     else:
         mesh = build_square_mesh(args.side, args.n)
-    write_mesh(out, mesh)
-    print(f"wrote {out}: {mesh.n_vertices} vertices, "
+    write_mesh(args.out, mesh)
+    print(f"wrote {args.out}: {mesh.n_vertices} vertices, "
           f"{mesh.n_triangles} triangles, {mesh.n_boundary_cells} boundary cells")
     return EXIT_OK
 
@@ -141,7 +78,6 @@ def cmd_mesh(args):
 def cmd_solve(args):
     config = SolveConfig(p=args.p)
     mesh, f = _read_problem(args, "load")
-    out = _default_out(args.out, "solve.json")
     state, rep = solve(mesh, f, config)
     payload = {
         "J": rep.J,
@@ -158,11 +94,9 @@ def cmd_solve(args):
         "boundary_trace_max": float(state.boundary_trace.max()),
         **_provenance(args, args.mesh),
     }
-    write_json(out, payload)
-    print(f"wrote {out}: J={rep.J:.9g} gap={rep.duality_gap:.3g}")
-    if not rep.converged:
-        raise SolverError(f"solve did not converge: its last stage ended as "
-                          f"{rep.stage_exits[-1]!r} at residual {rep.final_residual:.3e}")
+    write_json(args.out, payload)
+    print(f"wrote {args.out}: J={rep.J:.9g} gap={rep.duality_gap:.3g}")
+    rep.require_converged("solve")
     if gap_over_tol(rep) > 1.0:
         raise SolverError(f"duality gap {rep.duality_gap:.3g} exceeds {GAP_RTOL:g} (1 + |J|)"
                           f" = {GAP_RTOL * (1.0 + abs(rep.J)):.3g}")
@@ -177,12 +111,11 @@ def cmd_optimize(args):
         max_outer_iters=args.max_iters,
     )
     mesh, f0 = _read_problem(args, "load0")
-    out_dir = _default_out(args.out, "optimize-out")
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     fhat, uhat, hist = maximize_over_rearrangements(mesh, f0, config)
-    write_load(os.path.join(out_dir, "fhat.txt"), fhat)
+    write_load(os.path.join(args.out, "fhat.txt"), fhat)
     write_csv(
-        os.path.join(out_dir, "history.csv"),
+        os.path.join(args.out, "history.csv"),
         ["restart", "iter", "J", "I", "duality_gap", "defect", "changed",
          "tight", "newton_steps", "factorizations"],
         [
@@ -205,15 +138,14 @@ def cmd_optimize(args):
         "n_iterations": len(hist.records),
         **_provenance(args, args.mesh, seed=args.seed),
     }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-    print(f"wrote {out_dir}: J_best={best:.9g}")
+    write_json(os.path.join(args.out, "summary.json"), summary)
+    print(f"wrote {args.out}: J_best={best:.9g}")
     return EXIT_OK
 
 
 def cmd_derivative(args):
     config = SolveConfig(p=args.p)
     mesh, f = _read_problem(args, "load")
-    out = _default_out(args.out, "derivative.json")
     field = tangent_field(args.field, mesh.total_boundary_length)
     rep = derivative_report(mesh, f, field, config, t=args.t)
     discrepancies = rep.discrepancies
@@ -227,26 +159,25 @@ def cmd_derivative(args):
         "n_boundary_cells": mesh.n_boundary_cells,
         **_provenance(args, args.mesh),
     }
-    write_json(out, payload)
+    write_json(args.out, payload)
     rows = []
     for pair, rel in discrepancies.items():
         a, b = pair.split("-")
         rows.append((a, b, rep.values[a], rep.values[b], rel))
-    stem, _ = os.path.splitext(out)
+    stem, _ = os.path.splitext(args.out)
     write_csv(
         stem + "-agreement.csv",
         ["estimate_a", "estimate_b", "value_a", "value_b", "rel_discrepancy"],
         rows,
     )
-    print(f"wrote {out}: max discrepancy {rep.max_discrepancy:.3e}")
+    print(f"wrote {args.out}: max discrepancy {rep.max_discrepancy:.3e}")
     return EXIT_OK
 
 
 def cmd_suite(args):
     numbers = set(args.criteria) if args.criteria else None
     results = run_criteria(numbers)
-    out = _default_out(args.out, "acceptance.json")
-    write_json(out, {
+    write_json(args.out, {
         "results": [
             {"number": r.number, "name": r.name, "passed": r.passed,
              "elapsed_s": r.elapsed,
@@ -269,20 +200,18 @@ def build_parser():
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    # flags shared by every subcommand, and by those that solve on a mesh
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None)
-    common.add_argument("--config", default=None)
+    # flags shared by the subcommands that solve on a mesh
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--mesh", required=True)
     problem.add_argument("--p", type=float, required=True)
 
-    def command(name, func, summary, *parents):
-        cmd = sub.add_parser(name, help=summary, parents=[*parents, common])
+    def command(name, func, summary, out, *parents):
+        cmd = sub.add_parser(name, help=summary, parents=list(parents))
+        cmd.add_argument("--out", default=out, help="output path (default: %(default)s)")
         cmd.set_defaults(func=func)
         return cmd
 
-    m = command("mesh", cmd_mesh, "generate a disk or square mesh")
+    m = command("mesh", cmd_mesh, "generate a disk or square mesh", "mesh.txt")
     m.add_argument("--shape", choices=["disk", "square"], default="disk")
     m.add_argument("--n", type=int, default=64,
                    help="boundary points (disk) or cells per side (square)")
@@ -290,45 +219,40 @@ def build_parser():
     m.add_argument("--radius", type=float, default=1.0)
     m.add_argument("--side", type=float, default=1.0)
 
-    s = command("solve", cmd_solve, "solve the Neumann problem for a load", problem)
+    s = command("solve", cmd_solve, "solve the Neumann problem for a load",
+                "solve.json", problem)
     s.add_argument("--load", required=True)
 
     o = command("optimize", cmd_optimize, "maximize J over rearrangements of a load",
-                problem)
+                "optimize-out", problem)
     o.add_argument("--load0", required=True)
     o.add_argument("--restarts", type=int, default=1)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--max-iters", dest="max_iters", type=int, default=50)
 
     d = command("derivative", cmd_derivative, "four estimates of dJ/dt under a "
-                                              "tangential boundary flow", problem)
+                "tangential boundary flow", "derivative.json", problem)
     d.add_argument("--load", required=True)
     d.add_argument("--field", required=True,
                    help="constant | sin:k | cos:k | bump:center,width")
     d.add_argument("--t", type=float, default=1e-3)
 
-    a = command("suite", cmd_suite, "run a named verification suite")
+    a = command("suite", cmd_suite, "run a named verification suite", "acceptance.json")
     a.add_argument("kind", nargs="?", default="acceptance", choices=["acceptance"])
     a.add_argument("--criteria", type=int, nargs="*", default=None,
                    help="criterion numbers to run (default: all)")
-    ap.commands = sub.choices  # subcommand name -> its parser
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our config-error code
         return exc.code
     try:
-        if args.config:
-            actions = {a.dest: a for a in ap.commands[args.command]._actions
-                       if a.dest not in ("help", "config")}
-            vars(args).update(parse_config(args.config, actions))
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError; unreadable or unwritable paths
+    except (ValueError, OSError) as exc:  # bad inputs; unreadable or unwritable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -98,21 +98,18 @@ def comonotonicity_defect(f: LoadField, trace):
 
 def step_load(mesh, levels):
     """Piecewise-constant load taking each level on a contiguous arc of
-    equal share. Cell counts are rounded down, the last block absorbs the
-    remainder.
+    equal share: n // k of the n cells per level, the last block absorbing
+    the remainder.
     """
     n = mesh.n_boundary_cells
     levels = np.asarray(levels, dtype=float)
     k = levels.size
     if k == 0:
         raise ValueError("step load needs at least one level")
-    # the shares' sum need not be exactly 1.0 in floating point, so the
-    # counts divide by it
-    shares = np.full(k, 1.0 / k)
-    counts = np.floor(shares / shares.sum() * n).astype(int)
-    counts[-1] = n - counts[:-1].sum()
-    if np.any(counts <= 0):
+    if n < k:
         raise ValueError("step load needs at least one cell per level")
+    counts = np.full(k, n // k)
+    counts[-1] += n % k
     values = np.repeat(levels, counts)
     return LoadField.from_values(mesh, values)
 

@@ -291,10 +291,11 @@ class SolveReport:
         return self.stage_exits[-1] == "converged"
 
     def require_converged(self, what):
-        """Raise SolverError naming ``what`` (the solve's role) unless the
-        solve converged."""
+        """Raise SolverError naming ``what`` (the solve's role) and how its
+        last stage ended unless the solve converged."""
         if not self.converged:
-            raise SolverError(f"{what} stalled at residual {self.final_residual:.3e}")
+            raise SolverError(f"{what} ended as {self.stage_exits[-1]!r} "
+                              f"at residual {self.final_residual:.3e}")
 
 
 def _load_vector(mesh, f):

@@ -62,6 +62,14 @@ class TestMeshCommand:
         write_mesh(workdir / "again.txt", mesh)
         assert file_sha256(mesh_file) == file_sha256(workdir / "again.txt")
 
+    def test_default_out_is_mesh_txt(self, workdir, monkeypatch):
+        # flags are the one way to set an option: the environment names
+        # no output directory
+        monkeypatch.setenv("PLAPOPT_OUT", str(workdir / "envout"))
+        assert main(["mesh", "--n", "16"]) == EXIT_OK
+        assert read_mesh(workdir / "mesh.txt").n_boundary_cells == 16
+        assert not (workdir / "envout").exists()
+
     @pytest.mark.parametrize("n_radial", ["0", "1"])
     def test_too_few_rings_is_config_error(self, workdir, capsys, n_radial):
         rc = main(["mesh", "--n", "32", "--n-radial", n_radial, "--out", "m.txt"])
@@ -264,6 +272,24 @@ class TestSolveCommand:
         assert "--eps-final" in capsys.readouterr().err
         assert not os.path.exists("s.json")
 
+    def test_config_is_no_option(self, workdir, mesh_file, load_file, capsys):
+        (workdir / "x.json").write_text('{"p": 2.0}')
+        rc = main(["solve", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2.0", "--config", "x.json", "--out", "s.json"])
+        assert rc == EXIT_CONFIG
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not os.path.exists("s.json")
+
+    def test_config_echo_records_flags_and_default_out(self, workdir, mesh_file,
+                                                       load_file):
+        rc = main(["solve", "--mesh", str(mesh_file), "--load", str(load_file),
+                   "--p", "2.0"])
+        assert rc == EXIT_OK
+        with open("solve.json") as fh:
+            echo = json.load(fh)["config_echo"]
+        assert echo == {"command": "solve", "load": str(load_file),
+                        "mesh": str(mesh_file), "out": "solve.json", "p": 2.0}
+
     def test_bad_p_is_config_error(self, workdir, mesh_file, load_file):
         for command, load_flag, extra in (
             ("solve", "--load", []),
@@ -274,6 +300,26 @@ class TestSolveCommand:
                        "--p", "0.5", "--out", "bad-out", *extra])
             assert rc == EXIT_CONFIG
             assert not os.path.exists("bad-out")
+
+
+class TestFlagValues:
+    # argparse refuses a value its flag's type or choices refuse, and the
+    # solver config refuses p outside [P_MIN, P_MAX]: each exits 2 before
+    # anything is written
+    @pytest.mark.parametrize("argv, message", [
+        (["mesh", "--n-radial", "x"], "argument --n-radial: invalid int value: 'x'"),
+        (["mesh", "--shape", "hexagon"], "argument --shape: invalid choice: 'hexagon'"),
+        (["suite", "--criteria", "4", "x"], "argument --criteria: invalid int value: 'x'"),
+        (["solve", "--mesh", "m.txt", "--load", "f.txt", "--p", "x"],
+         "argument --p: invalid float value: 'x'"),
+        (["solve", "--mesh", "m.txt", "--load", "f.txt", "--p", "0.5"],
+         "p must lie in [1.1, 10.0], got 0.5"),
+    ], ids=["int", "choice", "int-list", "float", "p-range"])
+    def test_refused(self, workdir, mesh_file, load_file, capsys, argv, message):
+        assert main(argv + ["--out", "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists("out")
 
 
 class TestPathErrors:
@@ -464,10 +510,6 @@ class TestSuiteCommand:
 
     def test_unknown_suite(self, workdir):
         assert main(["suite", "smoke"]) == EXIT_CONFIG
-        # the positional kind is a config key like any flag
-        with open("cfg.json", "w") as fh:
-            json.dump({"kind": "smoke"}, fh)
-        assert main(["suite", "--config", "cfg.json"]) == EXIT_CONFIG
 
     def test_unknown_criterion_is_config_error(self, workdir, capsys):
         rc = main(["suite", "acceptance", "--criteria", "4", "99", "--out", "acc.json"])
@@ -486,88 +528,3 @@ class TestSuiteCommand:
         assert rc == EXIT_ACCEPTANCE
         with open("acc.json") as fh:
             assert not json.load(fh)["all_passed"]
-
-
-def _solve_with_config(cfg, capsys):
-    """Run ``solve`` with flags that name no real file, overridden by the
-    config cfg; returns the exit code and the error output."""
-    with open("cfg.json", "w") as fh:
-        if isinstance(cfg, str):
-            fh.write(cfg)
-        else:
-            json.dump(cfg, fh)
-    rc = main(["solve", "--mesh", "ignored-overridden", "--load", "x",
-               "--p", "3", "--config", "cfg.json", "--out", "s.json"])
-    return rc, capsys.readouterr().err
-
-
-class TestParseConfig:
-    def test_minimal_config_applies(self, workdir, mesh_file, load_file, capsys):
-        cfg = {"mesh": str(mesh_file), "load": str(load_file), "p": 2.0}
-        rc, _ = _solve_with_config(cfg, capsys)
-        assert rc == EXIT_OK
-        with open("s.json") as fh:
-            assert json.load(fh)["config_echo"]["p"] == 2.0
-
-    def test_unknown_key_rejected(self, workdir, capsys):
-        rc, err = _solve_with_config({"mesh": "m.txt", "loda": "f.txt"}, capsys)
-        assert rc == EXIT_CONFIG
-        assert "unknown config keys ['loda']" in err
-        assert not os.path.exists("s.json")
-
-    def test_eps_final_key_rejected(self, workdir, mesh_file, load_file, capsys):
-        cfg = {"mesh": str(mesh_file), "load": str(load_file), "eps_final": 1e-6}
-        rc, err = _solve_with_config(cfg, capsys)
-        assert rc == EXIT_CONFIG
-        assert "unknown config keys ['eps_final']" in err
-        assert not os.path.exists("s.json")
-
-    def test_out_of_range_p_rejected(self, workdir, mesh_file, load_file, capsys):
-        for p, message in ((0.5, "p must lie in [1.1, 10.0]"),
-                           (None, "p must be a float")):
-            cfg = {"mesh": str(mesh_file), "load": str(load_file), "p": p}
-            rc, err = _solve_with_config(cfg, capsys)
-            assert rc == EXIT_CONFIG
-            assert message in err
-            assert not os.path.exists("s.json")
-
-    def test_missing_path_rejected(self, workdir, load_file, capsys):
-        cfg = {"mesh": "absent.txt", "load": str(load_file), "p": 2.0}
-        rc, err = _solve_with_config(cfg, capsys)
-        assert rc == EXIT_CONFIG
-        assert "mesh path 'absent.txt' does not exist" in err
-        assert not os.path.exists("s.json")
-
-    def test_values_take_their_flag_type(self, workdir, mesh_file, load_file, capsys):
-        # a str flag, an int flag and a list-of-int flag, each given a
-        # value its type refuses, and a flag given a value outside its
-        # choices, stop before anything is written
-        rc, err = _solve_with_config(
-            {"mesh": str(mesh_file), "load": str(load_file), "out": 1}, capsys
-        )
-        assert rc == EXIT_CONFIG and "out must be a str, got 1" in err
-        assert not os.path.exists("s.json") and not os.path.exists("1")
-        for command, cfg, message in (
-            (["mesh", "--out", "m2.txt"], {"n_radial": "x"}, "n_radial must be an int, got 'x'"),
-            (["mesh", "--out", "m2.txt"], {"shape": "hexagon"},
-             "shape must be one of ['disk', 'square'], got 'hexagon'"),
-            (["suite", "--out", "acc.json"], {"criteria": "4"},
-             "criteria must be a list of int, got '4'"),
-        ):
-            with open("cfg.json", "w") as fh:
-                json.dump(cfg, fh)
-            assert main(command + ["--config", "cfg.json"]) == EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert message in err and "Traceback" not in err
-        assert not os.path.exists("m2.txt") and not os.path.exists("acc.json")
-
-    def test_json_error_has_position(self, workdir, capsys):
-        rc, err = _solve_with_config('{"mesh": }', capsys)
-        assert rc == EXIT_CONFIG
-        assert "cfg.json:1:" in err
-
-    def test_env_var_default_out(self, workdir, mesh_file, monkeypatch):
-        monkeypatch.setenv("PLAPOPT_OUT", str(workdir / "envout"))
-        rc = main(["mesh", "--shape", "disk", "--n", "16"])
-        assert rc == EXIT_OK
-        assert (workdir / "envout" / "mesh.txt").exists()

@@ -285,7 +285,7 @@ class TestUnconvergedStateSolve:
     def test_refused_naming_restart_and_iteration(self, disk):
         f0 = step_load(disk, STEP_LEVELS)
         with pytest.raises(SolverError, match=r"state solve at restart 0, iteration 0 "
-                                              r"stalled at residual 6\.\d+e-05"):
+                                              r"ended as 'cap' at residual 6\.\d+e-05"):
             maximize_over_rearrangements(disk, f0, _config(1.5))
 
     def test_cli_exits_3(self, disk, tmp_path, capsys):
@@ -296,7 +296,7 @@ class TestUnconvergedStateSolve:
                    "--out", str(tmp_path / "opt")])
         assert rc == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert err.startswith("solver failure: ") and "stalled at residual" in err
+        assert err.startswith("solver failure: ") and "ended as 'cap' at residual" in err
         assert not (tmp_path / "opt" / "summary.json").exists()
 
 

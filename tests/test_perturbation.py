@@ -456,19 +456,19 @@ class TestUnconvergedSolves:
     def test_derivative_report_refuses_unconverged_base(self, disk):
         f = step_load(disk, STEP_LEVELS)
         fld = tangent_field("sin:1", disk.total_boundary_length)
-        with pytest.raises(SolverError, match="base solve stalled at residual"):
+        with pytest.raises(SolverError, match="base solve ended as 'cap' at residual"):
             derivative_report(disk, f, fld, self.STARVED)
 
     def test_transport_check_refuses_unconverged_base(self, disk):
         f = step_load(disk, STEP_LEVELS)
         fld = tangent_field("sin:1", disk.total_boundary_length)
-        with pytest.raises(SolverError, match="base solve stalled at residual"):
+        with pytest.raises(SolverError, match="base solve ended as 'cap' at residual"):
             transported_solution_check(disk, f, fld, [0.0], self.STARVED)
 
     def test_finite_difference_names_residual(self, disk):
         f = step_load(disk, STEP_LEVELS)
         fld = tangent_field("sin:1", disk.total_boundary_length)
-        with pytest.raises(SolverError, match="t=0.001 stalled at residual"):
+        with pytest.raises(SolverError, match="t=0.001 ended as 'cap' at residual"):
             deriv_finite_difference(disk, f, fld, self.STARVED)
 
 

@@ -188,6 +188,19 @@ class TestLoadConstructors:
         f = step_load(mesh, [1.0, -1.0, 0.5])
         assert np.array_equal(f.cell_values, np.repeat([1.0, -1.0, 0.5], [5, 5, 6]))
 
+    @pytest.mark.parametrize("k, m", [(4, 2), (20, 1), (20, 5), (21, 1), (45, 1), (47, 3)])
+    def test_step_load_splits_k_times_m_cells_evenly(self, k, m):
+        # an equal share of k * m cells computed in floating point can
+        # round below m (k = 20, 21, 45, 47, ...); the counts are integer
+        mesh = build_disk_mesh(1.0, k * m, 2)
+        f = step_load(mesh, np.arange(k))
+        assert np.array_equal(f.cell_values, np.repeat(np.arange(k), m))
+
+    def test_step_load_needs_a_cell_per_level(self):
+        mesh = build_disk_mesh(1.0, 16, 2)
+        with pytest.raises(ValueError, match="at least one cell per level"):
+            step_load(mesh, np.arange(17))
+
     def test_step_load_without_levels_rejected(self):
         mesh = build_disk_mesh(1.0, 16, 2)
         with pytest.raises(ValueError, match="at least one level"):
